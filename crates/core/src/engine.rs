@@ -21,6 +21,19 @@
 //! Results are delivered through the handle; dropping a handle mid-flight
 //! simply discards that query's distances.
 //!
+//! # Result memory
+//!
+//! Multi-source batches report into one reusable, vertex-major
+//! `DepthBuffer` per dispatcher: one byte per `(vertex, query)`, with
+//! depths `>= 255` escaping to a small overflow list. The buffer is
+//! allocated on the first batch, grows to `n × width` bytes and never
+//! shrinks (exported as `pbfs_engine_result_buffer_bytes`). After the
+//! traversal a parallel transpose writes each query's `Vec<u32>` directly
+//! and resets the cells it read, so the buffer is clean for the next
+//! batch; a panicking batch drops it with the other kernel states. Beyond
+//! the buffer, a batch allocates only the vectors it returns. See
+//! DESIGN.md § Result materialization.
+//!
 //! # Sharding
 //!
 //! With [`EngineConfig::shards`] > 1 the engine runs one complete
@@ -93,7 +106,7 @@ use crate::sharded::ShardedMsBfs;
 use crate::smspbfs::SmsPbfsBit;
 use crate::stats::TraversalStats;
 use crate::storage::{Adjacency, GraphStore, ShardedAdjacency};
-use crate::visitor::{DistanceVisitor, MsDistanceVisitor};
+use crate::visitor::{DepthBatch, DepthBuffer, DistanceVisitor};
 
 /// Batch widths the dispatcher may choose from, in preference order.
 /// Each is `W × 64` for a supported bitset width `W ∈ {1, 2, 4, 8}`.
@@ -110,6 +123,7 @@ struct EngineMetrics {
     rejected: Arc<Counter>,
     expired: Arc<Counter>,
     failed: Arc<Counter>,
+    result_buffer_bytes: Arc<Gauge>,
 }
 
 fn engine_metrics() -> &'static EngineMetrics {
@@ -155,6 +169,10 @@ fn engine_metrics() -> &'static EngineMetrics {
             failed: r.counter(
                 "pbfs_engine_failed_queries_total",
                 "Admitted queries that terminated with an error (batch panic or abandoned drain)",
+            ),
+            result_buffer_bytes: r.gauge(
+                "pbfs_engine_result_buffer_bytes",
+                "Bytes held by the dispatchers' reusable multi-source depth buffers",
             ),
         }
     })
@@ -1246,9 +1264,10 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
     }
 }
 
-/// The dispatcher's reusable graph-sized algorithm states, one slot per
-/// batch width. Dropped wholesale after a batch panic (the interrupted
-/// traversal may have left them half-updated) and rebuilt lazily.
+/// The dispatcher's reusable graph-sized algorithm states: one kernel slot
+/// per batch width plus the depth buffer every multi-source batch reports
+/// into. Dropped wholesale after a batch panic (the interrupted traversal
+/// may have left them half-updated) and rebuilt lazily.
 #[derive(Default)]
 struct KernelStates {
     sms: Option<SmsPbfsBit>,
@@ -1260,6 +1279,15 @@ struct KernelStates {
     sh2: Option<ShardedMsBfs<2>>,
     sh4: Option<ShardedMsBfs<4>>,
     sh8: Option<ShardedMsBfs<8>>,
+    results: DepthBuffer,
+}
+
+impl Drop for KernelStates {
+    fn drop(&mut self) {
+        engine_metrics()
+            .result_buffer_bytes
+            .sub(self.results.bytes() as i64);
+    }
 }
 
 impl KernelStates {
@@ -1274,11 +1302,28 @@ impl KernelStates {
         sources: &[VertexId],
         opts: &BfsOptions,
     ) -> (TraversalStats, Vec<Vec<u32>>) {
+        let results = &mut self.results;
         match width {
-            64 => run_ms(&mut self.ms1, n, g, pool, sources, opts),
-            128 => run_ms(&mut self.ms2, n, g, pool, sources, opts),
-            256 => run_ms(&mut self.ms4, n, g, pool, sources, opts),
-            _ => run_ms(&mut self.ms8, n, g, pool, sources, opts),
+            64 => materialize(results, n, pool, sources, |v| {
+                self.ms1
+                    .get_or_insert_with(|| MsPbfs::new(n))
+                    .run(g, pool, sources, opts, v)
+            }),
+            128 => materialize(results, n, pool, sources, |v| {
+                self.ms2
+                    .get_or_insert_with(|| MsPbfs::new(n))
+                    .run(g, pool, sources, opts, v)
+            }),
+            256 => materialize(results, n, pool, sources, |v| {
+                self.ms4
+                    .get_or_insert_with(|| MsPbfs::new(n))
+                    .run(g, pool, sources, opts, v)
+            }),
+            _ => materialize(results, n, pool, sources, |v| {
+                self.ms8
+                    .get_or_insert_with(|| MsPbfs::new(n))
+                    .run(g, pool, sources, opts, v)
+            }),
         }
     }
 
@@ -1293,50 +1338,48 @@ impl KernelStates {
         sources: &[VertexId],
         opts: &BfsOptions,
     ) -> (TraversalStats, Vec<Vec<u32>>) {
+        let results = &mut self.results;
+        let p = part.num_nodes();
         match width {
-            1 | 64 => run_sharded(&mut self.sh1, n, part, pool, sources, opts),
-            128 => run_sharded(&mut self.sh2, n, part, pool, sources, opts),
-            256 => run_sharded(&mut self.sh4, n, part, pool, sources, opts),
-            _ => run_sharded(&mut self.sh8, n, part, pool, sources, opts),
+            1 | 64 => materialize(results, n, pool, sources, |v| {
+                self.sh1
+                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
+                    .run(part, pool, sources, opts, v)
+            }),
+            128 => materialize(results, n, pool, sources, |v| {
+                self.sh2
+                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
+                    .run(part, pool, sources, opts, v)
+            }),
+            256 => materialize(results, n, pool, sources, |v| {
+                self.sh4
+                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
+                    .run(part, pool, sources, opts, v)
+            }),
+            _ => materialize(results, n, pool, sources, |v| {
+                self.sh8
+                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
+                    .run(part, pool, sources, opts, v)
+            }),
         }
     }
 }
 
-/// Runs one multi-source batch at compile-time width `W`, reusing `state`.
-fn run_ms<const W: usize, G: Adjacency + ?Sized>(
-    state: &mut Option<MsPbfs<W>>,
+/// Runs one multi-source batch at compile-time width `W` with the shard's
+/// reusable depth buffer as the visitor, then transposes the buffer into
+/// one distance vector per source (resetting it for the next batch).
+fn materialize<const W: usize>(
+    results: &mut DepthBuffer,
     n: usize,
-    g: &G,
     pool: &WorkerPool,
     sources: &[VertexId],
-    opts: &BfsOptions,
+    kernel: impl FnOnce(&DepthBatch<'_, W>) -> TraversalStats,
 ) -> (TraversalStats, Vec<Vec<u32>>) {
-    let bfs = state.get_or_insert_with(|| MsPbfs::new(n));
-    let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
-    let stats = bfs.run(g, pool, sources, opts, &visitor);
-    let results = (0..sources.len())
-        .map(|i| visitor.distances_of(i))
-        .collect();
-    (stats, results)
-}
-
-/// Runs one batch through the scatter/gather kernel at compile-time width
-/// `W`, reusing `state`. The sharded engine's counterpart of [`run_ms`].
-fn run_sharded<const W: usize, P: ShardedAdjacency + ?Sized>(
-    state: &mut Option<ShardedMsBfs<W>>,
-    n: usize,
-    part: &P,
-    pool: &WorkerPool,
-    sources: &[VertexId],
-    opts: &BfsOptions,
-) -> (TraversalStats, Vec<Vec<u32>>) {
-    let bfs = state.get_or_insert_with(|| ShardedMsBfs::new(n, part.num_nodes()));
-    let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
-    let stats = bfs.run(part, pool, sources, opts, &visitor);
-    let results = (0..sources.len())
-        .map(|i| visitor.distances_of(i))
-        .collect();
-    (stats, results)
+    let grown = results.reserve(n, sources.len());
+    engine_metrics().result_buffer_bytes.add(grown as i64);
+    let batch = results.batch::<W>(n, sources.len());
+    let stats = kernel(&batch);
+    (stats, batch.materialize(pool))
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@ REQUIRED_PROM_FAMILIES = [
     "pbfs_engine_rejected_total",
     "pbfs_engine_expired_total",
     "pbfs_engine_failed_queries_total",
+    "pbfs_engine_result_buffer_bytes",
     "pbfs_sched_worker_panics_total",
     "pbfs_adapt_samples_total",
     "pbfs_adapt_switches_total",

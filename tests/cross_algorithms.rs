@@ -374,3 +374,47 @@ fn empty_and_tiny_graphs() {
     bfs.run(&g, &pool, 1, &BfsOptions::default(), &v);
     assert_eq!(v.distances(), vec![pbfs::core::UNREACHED, 0]);
 }
+
+#[test]
+fn query_engine_matches_oracle_on_long_diameter_graphs() {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    // The path's depths run to 1499, past the 254 that fits a depth-buffer
+    // cell, so full-width batches exercise the engine's overflow escape.
+    let graphs: Vec<(&str, Arc<CsrGraph>)> = vec![
+        ("path", Arc::new(gen::path(1500))),
+        ("grid", Arc::new(gen::grid(45, 44))),
+    ];
+    for (name, g) in &graphs {
+        let n = g.num_vertices() as u32;
+        let mut oracle: HashMap<u32, Vec<u32>> = HashMap::new();
+        for max_batch in [64usize, 512] {
+            for shards in [1usize, 2] {
+                let config = EngineConfig::default()
+                    .with_workers(2)
+                    .with_shards(shards)
+                    .with_max_batch(max_batch)
+                    .with_max_latency(Duration::from_secs(1));
+                let engine = QueryEngine::new(Arc::clone(g), config);
+                // One full-width backlog per shard. Source 0 comes first
+                // and reaches depth 1499 on the path.
+                let handles: Vec<QueryHandle> = (0..(max_batch * shards) as u32)
+                    .map(|i| engine.submit(i * 7 % n).unwrap())
+                    .collect();
+                for h in handles {
+                    let source = h.source();
+                    let want = oracle
+                        .entry(source)
+                        .or_insert_with(|| textbook::bfs(g, source).distances);
+                    assert_eq!(
+                        &h.wait().unwrap(),
+                        want,
+                        "{name}: source {source} max_batch={max_batch} shards={shards}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -330,3 +330,89 @@ fn submit_shutdown_race_resolves_every_handle() {
         }
     });
 }
+
+/// Source `i` of a healthy batch: spread over the graph, never one of the
+/// magic ids that trigger `fault_hook`.
+fn healthy_source(i: usize, n: u32) -> u32 {
+    match (i as u32 * 7 + 3) % n {
+        CALLER_BOOM | WORKER_BOOM => 0,
+        s => s,
+    }
+}
+
+/// Submits `sources` as one backlog and asserts every result against the
+/// oracle.
+fn assert_batch_matches_oracle(engine: &QueryEngine, g: &pbfs::graph::CsrGraph, sources: &[u32]) {
+    let handles: Vec<_> = sources.iter().map(|&s| engine.submit(s).unwrap()).collect();
+    for h in handles {
+        let s = h.source();
+        assert_eq!(h.wait().unwrap(), textbook::distances(g, s), "source {s}");
+    }
+}
+
+/// The multi-source result buffer is reused across batches: one engine
+/// runs batches of 512, 64, 300 and 2 queries with different sources, and
+/// none may see a depth left behind by a wider or earlier batch.
+#[test]
+fn result_buffer_reuse_across_batch_widths_leaks_no_depths() {
+    with_watchdog(WATCHDOG, || {
+        let g = Arc::new(gen::uniform(700, 2800, 5));
+        let n = g.num_vertices() as u32;
+        for shards in [1, 2] {
+            // The long deadline lets each backlog coalesce into one batch
+            // per shard; autotune off keeps the width cap at 512.
+            let cfg = EngineConfig::default()
+                .with_workers(2)
+                .with_shards(shards)
+                .with_autotune(false)
+                .with_max_latency(Duration::from_millis(100));
+            let mut engine = QueryEngine::new(Arc::clone(&g), cfg);
+            let mut next = 0;
+            for k in [512, 64, 300, 2] {
+                let sources: Vec<u32> = (next..next + k).map(|i| healthy_source(i, n)).collect();
+                next += k;
+                assert_batch_matches_oracle(&engine, &g, &sources);
+            }
+            engine.shutdown();
+            let stats = engine.stats();
+            assert_eq!(stats.batches, 4 * shards as u64, "{stats:?}");
+            assert_eq!(stats.failed, 0, "{stats:?}");
+        }
+    });
+}
+
+/// A batch that panics after the result buffer has been grown and used
+/// must not poison the next one: the engine drops the buffer with the
+/// other kernel states and the following batch matches the oracle.
+#[test]
+fn batch_after_panic_gets_a_clean_result_buffer() {
+    with_watchdog(WATCHDOG, || {
+        let g = Arc::new(gen::uniform(700, 2800, 9));
+        let n = g.num_vertices() as u32;
+        let cfg = EngineConfig::default()
+            .with_workers(2)
+            .with_autotune(false)
+            .with_max_latency(Duration::from_millis(100))
+            .with_fault_hook(fault_hook);
+        let mut engine = QueryEngine::new(Arc::clone(&g), cfg);
+        let wide: Vec<u32> = (0..512).map(|i| healthy_source(i, n)).collect();
+        assert_batch_matches_oracle(&engine, &g, &wide);
+
+        let mut doomed: Vec<u32> = (512..811).map(|i| healthy_source(i, n)).collect();
+        doomed.push(WORKER_BOOM);
+        let handles: Vec<_> = doomed.iter().map(|&s| engine.submit(s).unwrap()).collect();
+        for h in handles {
+            assert!(
+                matches!(h.wait(), Err(EngineError::BatchFailed { .. })),
+                "every query of the panicking batch fails"
+            );
+        }
+
+        let after: Vec<u32> = (811..1323).map(|i| healthy_source(i, n)).collect();
+        assert_batch_matches_oracle(&engine, &g, &after);
+        engine.shutdown();
+        let stats = engine.stats();
+        assert_eq!(stats.batch_failures, 1, "{stats:?}");
+        assert_eq!(stats.queries, 1024, "{stats:?}");
+    });
+}

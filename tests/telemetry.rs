@@ -89,6 +89,7 @@ fn engine_replay_produces_full_trace_and_metrics() {
         "pbfs_trace_dropped_events_total",
         "pbfs_graph_vertices",
         "pbfs_graph_edges",
+        "pbfs_engine_result_buffer_bytes",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
@@ -240,6 +241,54 @@ fn legacy_kernels_propagate_query_set_to_iteration_spans() {
         iter_qsets.contains(&4343),
         "DirectionOptBfs dropped its query-set id: {iter_qsets:?}"
     );
+}
+
+/// Level of the `pbfs_engine_result_buffer_bytes` gauge as a scrape sees
+/// it (0 before any engine registered the family).
+fn result_buffer_bytes() -> i64 {
+    match telemetry::registry()
+        .snapshot()
+        .find("pbfs_engine_result_buffer_bytes", "")
+        .map(|s| s.value.clone())
+    {
+        Some(telemetry::SampleValue::Gauge(v)) => v,
+        _ => 0,
+    }
+}
+
+/// Each shard's dispatcher holds one reusable depth buffer of one byte per
+/// (vertex, query): after a 512-wide burst the gauge shows n × 512 bytes
+/// per shard, and it returns to its level once the engine shuts down.
+#[test]
+fn result_buffer_gauge_tracks_depth_buffers() {
+    // Engines in this binary run under the trace lock, so no other engine
+    // moves the global gauge while this test reads it.
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let g = Arc::new(pbfs::graph::gen::Kronecker::graph500(9).seed(3).generate());
+    let n = g.num_vertices();
+    for shards in [1usize, 2] {
+        let before = result_buffer_bytes();
+        let cfg = EngineConfig::default()
+            .with_workers(2)
+            .with_shards(shards)
+            .with_autotune(false)
+            .with_max_latency(std::time::Duration::from_secs(1));
+        let mut engine = QueryEngine::new(Arc::clone(&g), cfg);
+        let handles: Vec<_> = (0..512 * shards)
+            .map(|i| engine.submit((i % n) as u32).unwrap())
+            .collect();
+        for h in handles {
+            h.wait().unwrap();
+        }
+        assert_eq!(engine.stats().batches, shards as u64);
+        assert_eq!(
+            result_buffer_bytes() - before,
+            (n * 512 * shards) as i64,
+            "shards={shards}"
+        );
+        engine.shutdown();
+        assert_eq!(result_buffer_bytes(), before, "shards={shards}");
+    }
 }
 
 /// The adaptive controller is a pure function of its sample stream: the
