@@ -48,8 +48,10 @@ pub const CHAOS_SITES: &[&str] = &[
     "core.engine.expire",
     "core.mspbfs.phase",
     "core.smspbfs.phase",
-    // Reached only by sharded schedules (`ChaosConfig::shards` > 1);
-    // arming it in an unsharded schedule is a harmless no-op.
+    // Reached only through the library `ShardedMsBfs` kernel, which the
+    // engine does not run (sharded engines run MS-PBFS over the partition
+    // view); arming it in an engine schedule is a harmless no-op, like
+    // the storage sites in a non-mutating one.
     "core.sharded.phase",
     "core.adapt.sample",
     "core.adapt.switch",
@@ -61,7 +63,7 @@ pub const CHAOS_SITES: &[&str] = &[
     "bitset.simd.dispatch",
     // Storage epoch sites. In a non-mutating schedule apply/publish/compact
     // are never evaluated (harmless no-ops, like `core.sharded.phase`
-    // without shards); `storage.reclaim` fires whenever an epoch drops and
+    // above); `storage.reclaim` fires whenever an epoch drops and
     // must be survived by *every* engine teardown.
     "storage.apply",
     "storage.publish",
@@ -94,8 +96,8 @@ pub struct ChaosConfig {
     /// Engine worker threads.
     pub workers: usize,
     /// Engine shards ([`EngineConfig::shards`]): above 1, every schedule
-    /// soaks the sharded scatter/gather engine, including the
-    /// `core.sharded.phase` failpoint site.
+    /// soaks the sharded engine (per-shard dispatchers and pools running
+    /// MS-PBFS over the partition view).
     pub shards: usize,
     /// Watchdog bound for one whole schedule (traffic + drain + shutdown).
     pub schedule_timeout: Duration,

@@ -40,13 +40,17 @@
 //! dispatcher + queue + worker-pool stack per simulated socket:
 //! submissions are scattered round-robin over the shard queues, each shard
 //! coalesces and flushes its own batches, and batch traversals run the
-//! scatter/gather kernel ([`ShardedMsBfs`]) over a
-//! [`PartitionedCsr`] whose adjacency segments mirror the shard topology.
-//! Admission ([`EngineConfig::max_queue`]) and panic isolation are
-//! per-shard: a poisoned shard fails only its own batches while the other
-//! shards keep serving. Results are bit-identical across shard counts —
-//! see the [`crate::sharded`] module docs for the determinism argument and
-//! DESIGN.md § Sharding for the protocol.
+//! same kernels as the unsharded engine (SMS-PBFS for singletons,
+//! direction-optimizing MS-PBFS for batches) over a
+//! [`PartitionedCsr`](pbfs_graph::PartitionedCsr) view whose adjacency
+//! segments mirror the shard topology; dirty epochs read it through the
+//! delta overlay ([`crate::storage::ShardedSnapshot`]). Every engine thus
+//! has one dispatch path per width. Admission
+//! ([`EngineConfig::max_queue`]) and panic isolation are per-shard: a
+//! poisoned shard fails only its own batches while the other shards keep
+//! serving. Results are bit-identical across shard counts because each
+//! `(source, vertex)` pair has exactly one BFS depth, whichever view the
+//! kernel walks; see DESIGN.md § Sharding for the protocol.
 //!
 //! # Failure model
 //!
@@ -93,7 +97,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pbfs_bitset::SUMMARY_CHUNK;
-use pbfs_graph::{CsrGraph, PartitionedCsr, VertexId};
+use pbfs_graph::{CsrGraph, VertexId};
 use pbfs_sched::WorkerPool;
 use pbfs_telemetry::{
     engine_lane, BoundedHistogram, Counter, EventKind, Gauge, Histogram, CLIENT_LANE,
@@ -102,10 +106,9 @@ use pbfs_telemetry::{
 use crate::adapt::WidthTuner;
 use crate::mspbfs::MsPbfs;
 use crate::options::BfsOptions;
-use crate::sharded::ShardedMsBfs;
 use crate::smspbfs::SmsPbfsBit;
 use crate::stats::TraversalStats;
-use crate::storage::{Adjacency, GraphStore, ShardedAdjacency};
+use crate::storage::{Adjacency, GraphStore};
 use crate::visitor::{DepthBatch, DepthBuffer, DistanceVisitor};
 
 /// Batch widths the dispatcher may choose from, in preference order.
@@ -220,9 +223,9 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Engine shards (simulated sockets). 1 — the default — is the classic
     /// single-dispatcher engine. Above 1, submissions scatter round-robin
-    /// over per-shard dispatcher + queue + pool stacks and batches run the
-    /// scatter/gather kernel over a [`PartitionedCsr`]; see the
-    /// [module docs](self#sharding).
+    /// over per-shard dispatcher + queue + pool stacks and batches traverse
+    /// a [`PartitionedCsr`](pbfs_graph::PartitionedCsr) view of the graph;
+    /// see the [module docs](self#sharding).
     pub shards: usize,
     /// Upper bound on the coalesced batch width; clamped to the largest
     /// supported width (512) and rounded up to a supported one.
@@ -628,7 +631,7 @@ struct Shared {
     /// The versioned graph handle. Dispatchers pin one epoch snapshot per
     /// coalesced batch, so a batch never observes a half-applied mutation;
     /// under sharding the store also carries the partitioned mirror the
-    /// scatter/gather kernel traverses.
+    /// shards' kernels traverse.
     store: Arc<GraphStore>,
     /// Vertex count — fixed for the store's lifetime (mutations are
     /// edge-level), so admission validation never needs a snapshot.
@@ -986,11 +989,9 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
     let mut cap = config_cap;
     let mut tuner = WidthTuner::new();
     let n = shared.num_vertices;
-    // Algorithm states are graph-sized and reused across batches. The
-    // plain-CSR states serve the single-shard engine; the scatter/gather
-    // states serve the sharded one. Only one family is ever populated.
-    // (States are sized by vertex count only, so they carry over across
-    // epochs of a mutating store unchanged.)
+    // Algorithm states are graph-sized and reused across batches. They
+    // are sized by vertex count only, so they serve the plain CSR, the
+    // partition mirror and every epoch of a mutating store unchanged.
     let mut states = KernelStates::default();
     // Fixed when shutdown is first observed with a drain bound configured.
     let mut drain_deadline: Option<Instant> = None;
@@ -1131,33 +1132,19 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
             if let Some(hook) = config.fault_hook {
                 hook(&pool, &sources);
             }
-            // Every arm is dispatched twice: clean epochs run the plain
-            // CSR/partition monomorphization (byte-for-byte the
-            // pre-storage hot path), dirty epochs the delta-overlay one.
-            if let Some(sv) = snap.sharded_view() {
-                // Sharded engine: every width — including the singleton —
-                // runs the scatter/gather kernel over the partitioned CSR,
-                // so results are bit-identical across shard counts by one
-                // determinism argument (see `crate::sharded`).
-                if snap.has_deltas() {
-                    states.run_sharded(n, &sv, width, &pool, &sources, &opts)
-                } else {
-                    let part: &PartitionedCsr = snap.part().expect("sharded view implies mirror");
-                    states.run_sharded(n, part, width, &pool, &sources, &opts)
+            // One kernel family for every engine; only the adjacency view
+            // differs. Clean epochs traverse the plain CSR (or, sharded,
+            // the partition mirror) directly, skipping the overlay's
+            // per-vertex dirty test; dirty epochs read the same layout
+            // through the overlay.
+            match (snap.sharded_view(), snap.has_deltas()) {
+                (Some(view), true) => states.run_batch(n, &view, width, &pool, &sources, &opts),
+                (Some(_), false) => {
+                    let part = snap.part().expect("sharded view implies mirror");
+                    states.run_batch(n, &**part, width, &pool, &sources, &opts)
                 }
-            } else if width == 1 {
-                let bfs = states.sms.get_or_insert_with(|| SmsPbfsBit::new(n));
-                let visitor = DistanceVisitor::new(n);
-                let stats = if snap.has_deltas() {
-                    bfs.run(&snap, &pool, sources[0], &opts, &visitor)
-                } else {
-                    bfs.run(&**snap.base(), &pool, sources[0], &opts, &visitor)
-                };
-                (stats, vec![visitor.into_distances()])
-            } else if snap.has_deltas() {
-                states.run_ms(n, &snap, width, &pool, &sources, &opts)
-            } else {
-                states.run_ms(n, &**snap.base(), width, &pool, &sources, &opts)
+                (None, true) => states.run_batch(n, &snap, width, &pool, &sources, &opts),
+                (None, false) => states.run_batch(n, &**snap.base(), width, &pool, &sources, &opts),
             }
         }));
         let (stats, results) = match outcome {
@@ -1265,9 +1252,12 @@ fn dispatcher_loop(shared: &Shared, shard: usize) {
 }
 
 /// The dispatcher's reusable graph-sized algorithm states: one kernel slot
-/// per batch width plus the depth buffer every multi-source batch reports
-/// into. Dropped wholesale after a batch panic (the interrupted traversal
-/// may have left them half-updated) and rebuilt lazily.
+/// per batch width (SMS-PBFS for singletons, MS-PBFS for each multi-source
+/// width) plus the depth buffer every multi-source batch reports into.
+/// Sharded and unsharded dispatchers use the same slots; the states are
+/// sized by vertex count only, so any adjacency view of the graph fits.
+/// Dropped wholesale after a batch panic (the interrupted traversal may
+/// have left them half-updated) and rebuilt lazily.
 #[derive(Default)]
 struct KernelStates {
     sms: Option<SmsPbfsBit>,
@@ -1275,10 +1265,6 @@ struct KernelStates {
     ms2: Option<MsPbfs<2>>,
     ms4: Option<MsPbfs<4>>,
     ms8: Option<MsPbfs<8>>,
-    sh1: Option<ShardedMsBfs<1>>,
-    sh2: Option<ShardedMsBfs<2>>,
-    sh4: Option<ShardedMsBfs<4>>,
-    sh8: Option<ShardedMsBfs<8>>,
     results: DepthBuffer,
 }
 
@@ -1291,9 +1277,10 @@ impl Drop for KernelStates {
 }
 
 impl KernelStates {
-    /// Runs one multi-source batch, selecting the compile-time width slot
-    /// covering `width`.
-    fn run_ms<G: Adjacency + ?Sized>(
+    /// Runs one batch over adjacency view `g`: a singleton (`width == 1`)
+    /// through SMS-PBFS, anything wider through the MS-PBFS slot whose
+    /// compile-time width covers `width`.
+    fn run_batch<G: Adjacency + ?Sized>(
         &mut self,
         n: usize,
         g: &G,
@@ -1304,6 +1291,14 @@ impl KernelStates {
     ) -> (TraversalStats, Vec<Vec<u32>>) {
         let results = &mut self.results;
         match width {
+            1 => {
+                let visitor = DistanceVisitor::new(n);
+                let stats = self
+                    .sms
+                    .get_or_insert_with(|| SmsPbfsBit::new(n))
+                    .run(g, pool, sources[0], opts, &visitor);
+                (stats, vec![visitor.into_distances()])
+            }
             64 => materialize(results, n, pool, sources, |v| {
                 self.ms1
                     .get_or_insert_with(|| MsPbfs::new(n))
@@ -1323,43 +1318,6 @@ impl KernelStates {
                 self.ms8
                     .get_or_insert_with(|| MsPbfs::new(n))
                     .run(g, pool, sources, opts, v)
-            }),
-        }
-    }
-
-    /// Runs one batch through the scatter/gather kernel; also serves
-    /// singleton flushes (`W = 1`, one source).
-    fn run_sharded<P: ShardedAdjacency + ?Sized>(
-        &mut self,
-        n: usize,
-        part: &P,
-        width: usize,
-        pool: &WorkerPool,
-        sources: &[VertexId],
-        opts: &BfsOptions,
-    ) -> (TraversalStats, Vec<Vec<u32>>) {
-        let results = &mut self.results;
-        let p = part.num_nodes();
-        match width {
-            1 | 64 => materialize(results, n, pool, sources, |v| {
-                self.sh1
-                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
-                    .run(part, pool, sources, opts, v)
-            }),
-            128 => materialize(results, n, pool, sources, |v| {
-                self.sh2
-                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
-                    .run(part, pool, sources, opts, v)
-            }),
-            256 => materialize(results, n, pool, sources, |v| {
-                self.sh4
-                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
-                    .run(part, pool, sources, opts, v)
-            }),
-            _ => materialize(results, n, pool, sources, |v| {
-                self.sh8
-                    .get_or_insert_with(|| ShardedMsBfs::new(n, p))
-                    .run(part, pool, sources, opts, v)
             }),
         }
     }
@@ -1389,6 +1347,17 @@ mod tests {
 
     fn engine(g: CsrGraph) -> QueryEngine {
         QueryEngine::from_graph(g, EngineConfig::default().with_workers(2))
+    }
+
+    /// The per-shard counters are process-global, and every engine counts
+    /// into the shard-0 family, so the tests that run an engine serialize
+    /// on one mutex to keep the exact per-shard deltas asserted below
+    /// free of other tests' traffic. A failed test must not wedge the
+    /// rest, so a poisoned gate is taken over.
+    static GATE: Mutex<()> = Mutex::new(());
+
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
+        GATE.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
@@ -1433,12 +1402,14 @@ mod tests {
 
     #[test]
     fn empty_graph_is_an_error_not_a_panic() {
+        let _gate = gate();
         let e = engine(CsrGraph::from_edges(0, &[]));
         assert_eq!(e.submit(0).unwrap_err(), EngineError::EmptyGraph);
     }
 
     #[test]
     fn out_of_range_source_is_an_error_not_a_panic() {
+        let _gate = gate();
         let e = engine(gen::path(10));
         let err = e.submit(10).unwrap_err();
         assert_eq!(
@@ -1455,6 +1426,7 @@ mod tests {
 
     #[test]
     fn singleton_flush_matches_oracle() {
+        let _gate = gate();
         let g = gen::Kronecker::graph500(7).seed(3).generate();
         let oracle = crate::textbook::bfs(&g, 5).distances;
         let e = engine(g);
@@ -1465,6 +1437,7 @@ mod tests {
 
     #[test]
     fn dropped_handle_mid_flight_is_harmless() {
+        let _gate = gate();
         let g = gen::uniform(300, 900, 1);
         let e = engine(g);
         for s in 0..50 {
@@ -1478,6 +1451,7 @@ mod tests {
 
     #[test]
     fn stats_count_batches_and_queries() {
+        let _gate = gate();
         let g = gen::path(64);
         let mut e = engine(g);
         let handles: Vec<_> = (0..10).map(|s| e.submit(s).unwrap()).collect();
@@ -1500,6 +1474,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_errors() {
+        let _gate = gate();
         let g = gen::path(4);
         let mut e = engine(g);
         e.shutdown();
@@ -1508,6 +1483,7 @@ mod tests {
 
     #[test]
     fn overload_beyond_batch_capacity_answers_everything() {
+        let _gate = gate();
         // Far more in-flight queries than max_batch × workers: the
         // dispatcher must work the backlog off in successive batches
         // without losing or cross-wiring any of them.
@@ -1554,6 +1530,7 @@ mod tests {
 
     #[test]
     fn sharded_singleton_flush_matches_oracle() {
+        let _gate = gate();
         let g = gen::Kronecker::graph500(7).seed(9).generate();
         let oracle = crate::textbook::bfs(&g, 3).distances;
         let cfg = EngineConfig::default().with_workers(2).with_shards(2);
@@ -1563,6 +1540,7 @@ mod tests {
 
     #[test]
     fn sharded_engine_answers_every_query_exactly() {
+        let _gate = gate();
         // Enough queries that both shards flush real multi-source batches;
         // every result must equal the textbook oracle for its source.
         let g = gen::uniform(400, 1600, 7);
@@ -1602,6 +1580,7 @@ mod tests {
 
     #[test]
     fn poisoned_shard_fails_only_its_own_batches() {
+        let _gate = gate();
         // Source 0 is submitted only at even submission indices, which
         // round-robin lands on shard 0; the hook poisons every batch
         // containing it. Shard 0's queries must all fail with BatchFailed
@@ -1648,6 +1627,7 @@ mod tests {
 
     #[test]
     fn shutdown_flushes_pending_queries() {
+        let _gate = gate();
         let g = gen::grid(8, 8);
         let oracle = crate::textbook::bfs(&g, 0).distances;
         // A long deadline would stall these queries; shutdown must flush

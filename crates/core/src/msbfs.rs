@@ -319,6 +319,18 @@ mod tests {
     }
 
     #[test]
+    fn detached_source_matches_oracle() {
+        // One source on a detached edge, the rest in the giant component.
+        let n = 1200;
+        let g = crate::mspbfs::giant_with_detached_edge(n);
+        for policy in [DirectionPolicy::default(), DirectionPolicy::AlwaysBottomUp] {
+            let opts = BfsOptions::default().with_policy(policy);
+            check_batch::<1>(&g, &crate::mspbfs::detached_batch(n, 64), &opts);
+            check_batch::<8>(&g, &crate::mspbfs::detached_batch(n, 512), &opts);
+        }
+    }
+
+    #[test]
     fn max_iterations_truncates() {
         let g = gen::path(10);
         let mut bfs: MsBfs<1> = MsBfs::new(10);

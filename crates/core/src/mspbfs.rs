@@ -11,6 +11,15 @@
 //!   the buffer can be reused as `next` without a separate memset.
 //! * **Bottom-up** (Listing 2): same bijective argument, zero
 //!   synchronization, with the early-exit once no more bits can be gained.
+//!
+//! "No more bits can be gained" is judged against the **live-BFS mask**,
+//! the union of the current frontier entries, not against every bit of
+//! the batch: a BFS whose frontier has emptied can never add a bit again,
+//! so a vertex already seen by every *running* BFS is skipped outright and
+//! a neighbor scan stops as soon as it covers them. Every frontier entry
+//! is a subset of the mask, so the pruning never drops a discovery. The
+//! settle tasks build the next iteration's mask with one `fetch_or` per
+//! word per task.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,7 +133,8 @@ impl<const W: usize> MsPbfs<W> {
             });
         }
 
-        let full = Bits::<W>::first_n(sources.len());
+        // The sources seed the live-BFS mask: every BFS is running.
+        let mut live = Bits::<W>::first_n(sources.len());
         let mut frontier_vertices = 0u64;
         let mut frontier_degree = 0u64;
         let mut unexplored_degree = g.num_directed_edges() as u64;
@@ -140,7 +150,7 @@ impl<const W: usize> MsPbfs<W> {
             visitor.on_found(s, 0, bit);
         }
         for &s in sources {
-            if self.seen.get(s as usize) == full {
+            if live.is_subset_of(&self.seen.get(s as usize)) {
                 unexplored_degree = unexplored_degree.saturating_sub(g.degree(s) as u64);
             }
         }
@@ -212,6 +222,9 @@ impl<const W: usize> MsPbfs<W> {
             let new_fv = AtomicU64::new(0);
             let new_fd = AtomicU64::new(0);
             let fully_seen_deg = AtomicU64::new(0);
+            // The next live-BFS mask: each settle task ORs in the union
+            // of its `new` sets once; read only after the pool joins.
+            let next_live = StateArray::<W>::new(1);
             let workers = pool.num_workers();
             let updated_pw = PerWorkerU64::new(workers);
             let visited_pw = PerWorkerU64::new(workers);
@@ -348,6 +361,7 @@ impl<const W: usize> MsPbfs<W> {
                         let owner = (r.start / split) % workers;
                         let (mut disc, mut fv, mut fd, mut full_deg, mut upd) =
                             (0u64, 0u64, 0u64, 0u64, 0u64);
+                        let mut found = Bits::<W>::EMPTY;
                         let mut settle = |v: usize| {
                             let nx = next.get(v);
                             if nx.is_empty() {
@@ -366,12 +380,13 @@ impl<const W: usize> MsPbfs<W> {
                             if flags.new_any {
                                 seen.set(v, merged);
                                 visitor.on_found(v as VertexId, depth, new);
+                                found |= new;
                                 let bits = new.count_ones() as u64;
                                 disc += bits;
                                 upd += bits;
                                 fv += 1;
                                 fd += g.degree(v as VertexId) as u64;
-                                if merged == full {
+                                if live.is_subset_of(&merged) {
                                     full_deg += g.degree(v as VertexId) as u64;
                                 }
                             }
@@ -422,6 +437,7 @@ impl<const W: usize> MsPbfs<W> {
                                 }));
                             }
                         }
+                        next_live.fetch_or(0, found);
                         discovered.fetch_add(disc, Ordering::Relaxed);
                         new_fv.fetch_add(fv, Ordering::Relaxed);
                         new_fd.fetch_add(fd, Ordering::Relaxed);
@@ -492,9 +508,13 @@ impl<const W: usize> MsPbfs<W> {
                         let owner = (r.start / split) % workers;
                         let (mut disc, mut fv, mut fd, mut full_deg, mut upd, mut visited) =
                             (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+                        let mut found = Bits::<W>::EMPTY;
                         for u in r {
                             let seen_u = seen.get(u);
-                            if seen_u == full {
+                            // Only running BFSs can reach `u` now: `need`
+                            // is every bit it could still gain.
+                            let need = live.and_not(&seen_u);
+                            if need.is_empty() {
                                 continue;
                             }
                             let nbrs = g.neighbors_fast(u as VertexId);
@@ -510,7 +530,7 @@ impl<const W: usize> MsPbfs<W> {
                                 }
                                 visited += 1;
                                 acc |= frontier.get(v as usize);
-                                if opts.early_exit && (acc | seen_u) == full {
+                                if opts.early_exit && need.is_subset_of(&acc) {
                                     break;
                                 }
                             }
@@ -521,16 +541,18 @@ impl<const W: usize> MsPbfs<W> {
                                 next.set(u, new);
                                 seen.set(u, merged);
                                 visitor.on_found(u as VertexId, depth, new);
+                                found |= new;
                                 let bits = new.count_ones() as u64;
                                 disc += bits;
                                 upd += bits;
                                 fv += 1;
                                 fd += g.degree(u as VertexId) as u64;
-                                if merged == full {
+                                if live.is_subset_of(&merged) {
                                     full_deg += g.degree(u as VertexId) as u64;
                                 }
                             }
                         }
+                        next_live.fetch_or(0, found);
                         discovered.fetch_add(disc, Ordering::Relaxed);
                         new_fv.fetch_add(fv, Ordering::Relaxed);
                         new_fd.fetch_add(fd, Ordering::Relaxed);
@@ -583,6 +605,7 @@ impl<const W: usize> MsPbfs<W> {
                 }
             }
 
+            live = next_live.get(0);
             frontier_vertices = new_fv.load(Ordering::Relaxed);
             frontier_degree = new_fd.load(Ordering::Relaxed);
             unexplored_degree =
@@ -655,6 +678,30 @@ pub(crate) fn merge_worker_stats_pub(
             s
         })
         .collect()
+}
+
+/// A connected random graph on `n` vertices (a Hamiltonian cycle plus
+/// `8n` random chords) with one detached edge `(n, n + 1)` appended: a
+/// source on that edge finishes early, so a bottom-up skip that waited
+/// for every bit of the batch would keep scanning the whole graph.
+#[cfg(test)]
+pub(crate) fn giant_with_detached_edge(n: u32) -> pbfs_graph::CsrGraph {
+    let chords = pbfs_graph::gen::uniform(n as usize, 8 * n as usize, 17);
+    let mut edges: Vec<(VertexId, VertexId)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    for v in 0..n {
+        edges.extend(chords.neighbors(v).iter().map(|&w| (v, w)));
+    }
+    edges.push((n, n + 1));
+    pbfs_graph::CsrGraph::from_edges(n as usize + 2, &edges)
+}
+
+/// `k` sources for [`giant_with_detached_edge`]`(n)`: `k - 1` spread over
+/// the giant component and one, at index 5, on the detached edge.
+#[cfg(test)]
+pub(crate) fn detached_batch(n: u32, k: usize) -> Vec<VertexId> {
+    let mut sources: Vec<u32> = (0..k as u32 - 1).map(|i| i * 7 % n).collect();
+    sources.insert(5, n);
+    sources
 }
 
 #[cfg(test)]
@@ -901,6 +948,58 @@ mod tests {
         // Entry words plus the one-word frontier summary per array (a
         // 0.2 ‰ overhead at W = 1).
         assert_eq!(bfs.state_bytes(), 3 * ((1 << 12) * 8 + 8));
+    }
+
+    #[test]
+    fn live_mask_pruning_matches_oracle_with_a_detached_source() {
+        let n = 1200;
+        let g = giant_with_detached_edge(n);
+        for policy in [DirectionPolicy::default(), DirectionPolicy::AlwaysBottomUp] {
+            for mode in [
+                crate::policy::FrontierMode::Flat,
+                crate::policy::FrontierMode::Summary,
+                crate::policy::FrontierMode::Auto,
+            ] {
+                let opts = BfsOptions::default()
+                    .with_policy(policy)
+                    .with_frontier_mode(mode);
+                check_batch::<1>(&g, &detached_batch(n, 64), 2, &opts);
+                check_batch::<8>(&g, &detached_batch(n, 512), 2, &opts);
+            }
+        }
+    }
+
+    /// Edges relaxed by the final iteration of a forced bottom-up run. It
+    /// runs after every giant-component BFS is exhausted, so only the
+    /// detached edge's two vertices can still gain a bit.
+    fn last_iteration_edges<const W: usize>(g: &CsrGraph, sources: &[VertexId]) -> u64 {
+        let pool = WorkerPool::new(2);
+        let mut bfs: MsPbfs<W> = MsPbfs::new(g.num_vertices());
+        let opts = BfsOptions::default()
+            .with_policy(DirectionPolicy::AlwaysBottomUp)
+            .instrumented();
+        let stats = bfs.run(g, &pool, sources, &opts, &crate::visitor::NoopMsVisitor);
+        let last = stats.iterations.last().expect("at least one iteration");
+        assert_eq!(last.direction, Direction::BottomUp);
+        assert_eq!(last.discovered, 0, "the final iteration finds nothing");
+        last.per_worker.iter().map(|w| w.visited_neighbors).sum()
+    }
+
+    #[test]
+    fn finished_bfs_does_not_keep_the_giant_component_in_bottom_up() {
+        let n = 1200;
+        let g = giant_with_detached_edge(n);
+        let bound = g.num_directed_edges() as u64 / 10;
+        let narrow = last_iteration_edges::<1>(&g, &detached_batch(n, 64));
+        assert!(
+            narrow < bound,
+            "64-wide: {narrow} edges relaxed, bound {bound}"
+        );
+        let wide = last_iteration_edges::<8>(&g, &detached_batch(n, 512));
+        assert!(
+            wide < bound,
+            "512-wide: {wide} edges relaxed, bound {bound}"
+        );
     }
 
     #[test]

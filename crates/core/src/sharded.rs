@@ -1,9 +1,15 @@
 //! Sharded scatter/gather MS-BFS over [`PartitionedCsr`].
 //!
-//! The shared-memory half of ROADMAP item 1: the batch traversal is
-//! restructured as an explicit **scatter/gather** exchange over the
-//! per-socket adjacency partitions of [`PartitionedCsr`], the stepping
-//! stone to the 2D-decomposition distributed BFS of Buluç–Madduri.
+//! A library kernel, off the query engine's path: the sharded engine runs
+//! the direction-optimizing [`MsPbfs`](crate::mspbfs::MsPbfs) (and
+//! SMS-PBFS for singletons) over the partition view instead, because this
+//! kernel has no bottom-up phase. It stays as the shared-memory stepping
+//! stone to the 2D-decomposition distributed BFS of Buluç–Madduri: the
+//! batch traversal is restructured as an explicit **scatter/gather**
+//! exchange over the per-socket adjacency partitions of
+//! [`PartitionedCsr`].
+//!
+//! [`PartitionedCsr`]: pbfs_graph::PartitionedCsr
 //!
 //! Each iteration runs two barrier-separated phases on the worker pool:
 //!
@@ -25,8 +31,8 @@
 //! observes is independent of scatter scheduling — and each `(source,
 //! vertex)` pair has exactly one BFS depth, so the visitor sees every
 //! discovery exactly once at that depth no matter how the work was sharded.
-//! The oracle-differential suite in `tests/sharded_oracle.rs` checks this
-//! against the single-shard engine.
+//! The unit tests below check this against the textbook oracle for
+//! several partition counts.
 //!
 //! Direction optimization (bottom-up) and sparse-queue scans are
 //! deliberately absent here: the scatter/gather exchange is the structure
@@ -107,9 +113,9 @@ impl<const W: usize> ShardedMsBfs<W> {
     /// Runs one batch of concurrent BFSs from `sources` on `pool`.
     ///
     /// Generic over [`ShardedAdjacency`], so the same state traverses a
-    /// plain [`PartitionedCsr`] or a mutation-overlaid
-    /// [`crate::storage::ShardedSnapshot`]; the plain-partition
-    /// monomorphization is the unchanged hot path.
+    /// plain [`PartitionedCsr`](pbfs_graph::PartitionedCsr) or a
+    /// mutation-overlaid [`crate::storage::ShardedSnapshot`]; the
+    /// plain-partition monomorphization is the unchanged hot path.
     ///
     /// # Panics
     /// Panics if `sources` is empty, exceeds `W * 64`, contains an

@@ -410,8 +410,9 @@ impl GraphSnapshot {
         !self.inner.delta.is_clean()
     }
 
-    /// A partition-layout view of this snapshot for the scatter/gather
-    /// kernel. `None` when the store is not partitioned.
+    /// A partition-layout view of this snapshot: what a sharded engine
+    /// traverses on a dirty epoch. `None` when the store is not
+    /// partitioned.
     pub fn sharded_view(&self) -> Option<ShardedSnapshot<'_>> {
         self.inner.part.as_deref().map(|part| ShardedSnapshot {
             part,
@@ -459,8 +460,9 @@ impl Adjacency for GraphSnapshot {
     }
 }
 
-/// A [`GraphSnapshot`] viewed through the epoch's partition mirror: the
-/// scatter/gather kernel's input when the store both shards and mutates.
+/// A [`GraphSnapshot`] viewed through the epoch's partition mirror: what
+/// a sharded engine's kernels (and the library scatter/gather kernel)
+/// traverse when the store both shards and mutates.
 #[derive(Clone, Copy)]
 pub struct ShardedSnapshot<'a> {
     part: &'a PartitionedCsr,

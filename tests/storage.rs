@@ -198,3 +198,72 @@ fn epochs_live_gauge_returns_to_baseline_after_drain() {
     drop(store);
     assert_eq!(storage::epochs_live(), baseline);
 }
+
+/// A sharded engine runs wide MS-PBFS batches over the partition mirror
+/// read through the delta overlay. Every answer must equal the textbook
+/// BFS on a CSR rebuilt from the logical edge list (base edges plus the
+/// applied mutations), independently of anything the store produced.
+#[test]
+fn sharded_wide_batches_on_dirty_epoch_match_rebuilt_graph() {
+    let _gate = GATE.lock().unwrap();
+    let base = gen::Kronecker::graph500(9).seed(23).generate();
+    let n = base.num_vertices() as u32;
+    let mutations = [
+        EdgeMutation::Insert(0, n - 1),
+        EdgeMutation::Insert(3, n / 2),
+        EdgeMutation::Insert(n - 2, n / 3),
+        EdgeMutation::Delete(0, base.neighbors(0)[0]),
+        EdgeMutation::Delete(1, base.neighbors(1)[0]),
+    ];
+    let reference = {
+        let mut edges = std::collections::BTreeSet::new();
+        for v in 0..n {
+            edges.extend(
+                base.neighbors(v)
+                    .iter()
+                    .filter(|&&w| w > v)
+                    .map(|&w| (v, w)),
+            );
+        }
+        for m in &mutations {
+            match *m {
+                EdgeMutation::Insert(a, b) => edges.insert((a.min(b), a.max(b))),
+                EdgeMutation::Delete(a, b) => edges.remove(&(a.min(b), a.max(b))),
+            };
+        }
+        CsrGraph::from_edges(n as usize, &edges.into_iter().collect::<Vec<_>>())
+    };
+    let base = Arc::new(base);
+
+    for max_batch in [64, 512] {
+        let store = GraphStore::new(Arc::clone(&base));
+        let engine = QueryEngine::with_store(
+            Arc::clone(&store),
+            config()
+                .with_shards(2)
+                .with_autotune(false)
+                .with_max_batch(max_batch)
+                .with_max_latency(Duration::from_millis(200)),
+        );
+        store.apply_batch(&mutations).unwrap();
+        assert!(store.snapshot().has_deltas(), "the epoch must be dirty");
+
+        // 600 queries split round-robin: 300 per shard, more than 256, so
+        // each shard forms a 512-wide batch (or several 64-wide ones).
+        let sources: Vec<u32> = (0..600).map(|i| (i * 7) % n).collect();
+        let handles: Vec<_> = sources.iter().map(|&s| engine.submit(s).unwrap()).collect();
+        for (s, h) in sources.iter().zip(handles) {
+            assert_eq!(
+                h.wait().unwrap(),
+                textbook::bfs(&reference, *s).distances,
+                "max_batch {max_batch}, source {s}"
+            );
+        }
+        let stats = engine.stats();
+        assert!(
+            stats.width_histogram.contains_key(&max_batch),
+            "max_batch {max_batch}: no batch ran at that width, got {:?}",
+            stats.width_histogram
+        );
+    }
+}
