@@ -1,45 +1,25 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * `atomic` — `fetch_or` vs the paper's CAS loop in top-down phase 1.
 //! * `chunkskip` — 64-bit chunk skipping on/off in SMS-PBFS(bit).
 //! * `earlyexit` — bottom-up early exit on/off in MS-BFS.
 //! * `width` — MS-BFS bitset width 64/128/256/512 at constant total
 //!   sources (per-source work sharing trade-off of Section 2.2).
 //! * `tasksize` — splitSize sweep (Section 4.2.1).
 //! * `dirswitch` — direction policy: heuristic vs fixed directions.
+//!
+//! The `fetch_or` vs CAS-loop update of top-down phase 1 is measured by
+//! the kernels bench's `atomics` rows (`pbfs_bench::kernels::run_atomics`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pbfs_bench::datasets::{kronecker, pick_sources};
 use pbfs_core::msbfs::MsBfs;
 use pbfs_core::mspbfs::MsPbfs;
-use pbfs_core::options::{AtomicKind, BfsOptions};
+use pbfs_core::options::BfsOptions;
 use pbfs_core::policy::DirectionPolicy;
 use pbfs_core::smspbfs::SmsPbfsBit;
 use pbfs_core::visitor::{NoopMsVisitor, NoopVisitor};
 use pbfs_sched::WorkerPool;
-
-fn bench_atomic(c: &mut Criterion) {
-    let g = kronecker(13, 42);
-    let sources = pick_sources(&g, 64, 3);
-    let pool = WorkerPool::new(4);
-    let mut group = c.benchmark_group("ablation_atomic");
-    group.sample_size(10);
-    for (name, kind) in [
-        ("fetch_or", AtomicKind::FetchOr),
-        ("cas_loop", AtomicKind::CasLoop),
-    ] {
-        let opts = BfsOptions {
-            atomic: kind,
-            ..Default::default()
-        };
-        let mut bfs: MsPbfs<1> = MsPbfs::new(g.num_vertices());
-        group.bench_function(name, |b| {
-            b.iter(|| bfs.run(&g, &pool, &sources, &opts, &NoopMsVisitor))
-        });
-    }
-    group.finish();
-}
 
 fn bench_chunkskip(c: &mut Criterion) {
     let g = kronecker(14, 42);
@@ -146,7 +126,6 @@ fn bench_dirswitch(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_atomic,
     bench_chunkskip,
     bench_earlyexit,
     bench_width,

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use pbfs_core::adapt::AdaptDecision;
 use pbfs_core::mspbfs::MsPbfs;
-use pbfs_core::options::{AtomicKind, BfsOptions};
+use pbfs_core::options::BfsOptions;
 use pbfs_core::policy::FrontierMode;
 use pbfs_core::smspbfs::{SmsPbfsBit, SmsPbfsByte};
 use pbfs_core::visitor::{NoopMsVisitor, NoopVisitor};
@@ -358,7 +358,7 @@ pub fn run_atomics(cfg: &KernelConfig) -> Vec<AtomicRow> {
     let n = 1usize << 16;
     let passes = if cfg.trials < 5 { 4 } else { 16 };
     let mut rows = Vec::new();
-    for kind in [AtomicKind::FetchOr, AtomicKind::CasLoop] {
+    for (kind, cas) in [("fetch_or", false), ("cas_loop", true)] {
         // Fresh state per kind: both must pay for real updates, not for
         // pre-check short-circuits on bits the other kind already set.
         let state: StateArray<1> = StateArray::new(n);
@@ -368,25 +368,19 @@ pub fn run_atomics(cfg: &KernelConfig) -> Vec<AtomicRow> {
             // until the word saturates (64 passes would be needed).
             let bits = Bits::<1>::single(pass % 64);
             let t0 = Instant::now();
-            match kind {
-                AtomicKind::FetchOr => {
-                    for v in 0..n {
-                        state.fetch_or(v, bits);
-                    }
+            if cas {
+                for v in 0..n {
+                    state.fetch_or_cas(v, bits);
                 }
-                AtomicKind::CasLoop => {
-                    for v in 0..n {
-                        state.fetch_or_cas(v, bits);
-                    }
+            } else {
+                for v in 0..n {
+                    state.fetch_or(v, bits);
                 }
             }
             best = best.min(t0.elapsed().as_nanos() as f64 / n as f64);
         }
         rows.push(AtomicRow {
-            kind: match kind {
-                AtomicKind::FetchOr => "fetch_or".to_string(),
-                AtomicKind::CasLoop => "cas_loop".to_string(),
-            },
+            kind: kind.to_string(),
             ns_per_op: best,
         });
     }

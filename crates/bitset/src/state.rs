@@ -138,7 +138,7 @@ impl<const W: usize> StateArray<W> {
 
     /// Atomically merges `bits` into entry `v` using an explicit
     /// compare-and-swap loop per word — the formulation in Section 3.1.1 of
-    /// the paper. Kept for the `ablation_atomic` benchmark.
+    /// the paper. Kept for the kernels bench's `atomics` rows.
     #[inline]
     pub fn fetch_or_cas(&self, v: usize, bits: Bits<W>) -> Bits<W> {
         debug_assert!(v < self.len);

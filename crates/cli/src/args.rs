@@ -58,8 +58,9 @@ usage:
         profile (per-iteration expand/settle/bottom-up wall time, edges
         relaxed, summary-scan activity, modeled bytes touched); without
         FILE a Kronecker graph of --scale is generated; --algo ms runs a
-        multi-source batch of --batch sources (default 64), the sms
-        variants run single-source from --source; -o writes the profile
+        multi-source batch of --batch sources (1..=512, default 64) on
+        the narrowest MS-PBFS width that holds it (64/128/256/512), the
+        sms variants run single-source from --source; -o writes the profile
         as JSON and --folded-out writes flamegraph-compatible folded
         stacks
   pbfs top [FILE] [--scale N] [--queries N] [--threads N] [--seed N]

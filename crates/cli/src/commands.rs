@@ -9,9 +9,11 @@ use pbfs_core::batch::{gteps, total_traversed_edges};
 use pbfs_core::beamer::{DirectionOptBfs, QueueKind};
 use pbfs_core::centrality::{betweenness_centrality_parallel, harmonic_centrality};
 use pbfs_core::engine::{EngineConfig, EngineError, QueryEngine};
+use pbfs_core::mspbfs::MsPbfs;
 use pbfs_core::options::{BfsOptions, DEFAULT_PREFETCH_DISTANCE};
 use pbfs_core::policy::FrontierMode;
 use pbfs_core::smspbfs::{SmsPbfsBit, SmsPbfsByte};
+use pbfs_core::stats::TraversalStats;
 use pbfs_core::storage::{EdgeMutation, GraphStore};
 use pbfs_core::textbook;
 use pbfs_core::validate::validate_tree;
@@ -697,9 +699,34 @@ fn metrics(args: &Args) -> Result<(), String> {
 /// the profile as JSON; `--folded-out` writes flamegraph-compatible
 /// folded stacks.
 fn profile(args: &Args) -> Result<(), String> {
+    use pbfs_json::ToJson;
+
+    let (p, stats) = traversal_profile(args)?;
+    print!("{}", p.table());
+    println!(
+        "reconciliation: profile {} ns vs traversal wall {} ns ({:+.2}%)",
+        p.total_ns,
+        stats.total_wall_ns,
+        100.0 * (p.total_ns as f64 - stats.total_wall_ns as f64)
+            / stats.total_wall_ns.max(1) as f64
+    );
+    if let Some(path) = args.get("output") {
+        std::fs::write(path, p.to_json().to_string_pretty()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    if let Some(path) = args.get("folded-out") {
+        std::fs::write(path, p.folded()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    Ok(())
+}
+
+/// The traversal `pbfs profile` runs, and its profile.
+fn traversal_profile(
+    args: &Args,
+) -> Result<(pbfs_telemetry::TraversalProfile, TraversalStats), String> {
     use pbfs_core::memory::MemoryModel;
     use pbfs_core::profile::build_profile;
-    use pbfs_json::ToJson;
 
     let scale: u32 = args.num("scale", 12)?;
     let seed: u64 = args.num("seed", 42)?;
@@ -721,38 +748,36 @@ fn profile(args: &Args) -> Result<(), String> {
     let w = workers(args)?;
     let pool = WorkerPool::new(w);
     let opts = bfs_options(args)?.instrumented();
-    // Byte-volume estimates use the graph's real edge factor, not the
-    // Graph500 default, so `bytes_est` tracks the loaded dataset.
-    let model = MemoryModel {
-        vertices: n,
-        edge_factor: (g.num_edges() / n).max(1),
-        width_words: 1,
-    };
-    let (name, width, stats) = match algo {
+    let (name, width, stats, width_words) = match algo {
         "ms" => {
             let batch: usize = args.num("batch", 64)?;
-            if batch == 0 || batch > 64 {
-                return Err("--batch must be in 1..=64".into());
+            if batch == 0 || batch > 512 {
+                return Err("--batch must be in 1..=512".into());
             }
             // Deterministic source spread across the vertex range.
             let stride = (n / batch).max(1);
             let sources: Vec<u32> = (0..batch)
                 .map(|i| ((source as usize + i * stride) % n) as u32)
                 .collect();
-            let mut bfs: pbfs_core::mspbfs::MsPbfs<1> = pbfs_core::mspbfs::MsPbfs::new(n);
-            let visitor: MsDistanceVisitor<1> = MsDistanceVisitor::new(n, sources.len());
-            let stats = bfs.run(&g, &pool, &sources, &opts, &visitor);
-            ("mspbfs", batch, stats)
+            // The narrowest of the engine's kernel widths that holds the
+            // batch.
+            let (stats, words) = match batch.div_ceil(64) {
+                1 => profile_ms::<1>(&g, &pool, &sources, &opts),
+                2 => profile_ms::<2>(&g, &pool, &sources, &opts),
+                3 | 4 => profile_ms::<4>(&g, &pool, &sources, &opts),
+                _ => profile_ms::<8>(&g, &pool, &sources, &opts),
+            };
+            ("mspbfs", batch, stats, words)
         }
         "sms-bit" => {
             let visitor = DistanceVisitor::new(n);
             let stats = SmsPbfsBit::new(n).run(&g, &pool, source, &opts, &visitor);
-            ("smspbfs-bit", 1, stats)
+            ("smspbfs-bit", 1, stats, 1)
         }
         "sms-byte" => {
             let visitor = DistanceVisitor::new(n);
             let stats = SmsPbfsByte::new(n).run(&g, &pool, source, &opts, &visitor);
-            ("smspbfs-byte", 1, stats)
+            ("smspbfs-byte", 1, stats, 1)
         }
         other => {
             return Err(format!(
@@ -760,24 +785,28 @@ fn profile(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let p = build_profile(name, width, &stats, &model);
-    print!("{}", p.table());
-    println!(
-        "reconciliation: profile {} ns vs traversal wall {} ns ({:+.2}%)",
-        p.total_ns,
-        stats.total_wall_ns,
-        100.0 * (p.total_ns as f64 - stats.total_wall_ns as f64)
-            / stats.total_wall_ns.max(1) as f64
-    );
-    if let Some(path) = args.get("output") {
-        std::fs::write(path, p.to_json().to_string_pretty()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = args.get("folded-out") {
-        std::fs::write(path, p.folded()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
+    // Byte-volume estimates use the graph's real edge factor, not the
+    // Graph500 default, so `bytes_est` tracks the loaded dataset.
+    let model = MemoryModel {
+        vertices: n,
+        edge_factor: (g.num_edges() / n).max(1),
+        width_words,
+    };
+    Ok((build_profile(name, width, &stats, &model), stats))
+}
+
+/// Runs `MsPbfs<W>` over one batch; returns its stats and `W`, the state
+/// entry width in 64-bit words.
+fn profile_ms<const W: usize>(
+    g: &CsrGraph,
+    pool: &WorkerPool,
+    sources: &[u32],
+    opts: &BfsOptions,
+) -> (TraversalStats, usize) {
+    let n = g.num_vertices();
+    let visitor: MsDistanceVisitor<W> = MsDistanceVisitor::new(n, sources.len());
+    let stats = MsPbfs::<W>::new(n).run(g, pool, sources, opts, &visitor);
+    (stats, W)
 }
 
 /// Reads a quantile off a histogram snapshot's cumulative bucket counts
@@ -1008,4 +1037,39 @@ fn relabel(args: &Args) -> Result<(), String> {
     };
     let relabeled = scheme.apply(&g);
     save(args, &relabeled)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn profile_of_a_512_source_batch_reconciles() {
+        let args = Args::parse(&argv(
+            "profile --scale 10 --algo ms --batch 512 --workers 2",
+        ))
+        .unwrap();
+        let (p, stats) = traversal_profile(&args).unwrap();
+        assert_eq!((p.algo.as_str(), p.width), ("mspbfs", 512));
+        assert_eq!(p.discovered, stats.total_discovered);
+        assert_eq!(p.rows_total_ns(), p.total_ns);
+        let wall = stats.total_wall_ns as f64;
+        assert!(
+            (p.total_ns as f64 - wall).abs() <= 0.05 * wall,
+            "profile {} vs wall {}",
+            p.total_ns,
+            stats.total_wall_ns
+        );
+        // The batch ran on `MsPbfs<8>`: each relaxed edge touches a 4-byte
+        // adjacency entry and a 64-byte state entry.
+        let row = p.rows.iter().find(|r| r.edges > 0).expect("relaxed edges");
+        assert!(row.bytes_est >= row.edges * (4 + 64), "{row:?}");
+        assert!(Args::parse(&argv("profile --batch 513"))
+            .and_then(|a| traversal_profile(&a))
+            .is_err());
+    }
 }

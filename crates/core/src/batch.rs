@@ -210,7 +210,7 @@ pub fn run_sequential_instances<const W: usize, C: BatchConsumer<W>>(
     let mut discovered = vec![0u64; threads];
     let state_bytes = AtomicUsize::new(0);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (t, (busy_slot, (work_slot, disc_slot))) in busy
             .iter_mut()
@@ -219,7 +219,7 @@ pub fn run_sequential_instances<const W: usize, C: BatchConsumer<W>>(
         {
             let chunks = &chunks;
             let state_bytes = &state_bytes;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut bfs: MsBfs<W> = MsBfs::new(g.num_vertices());
                 state_bytes.fetch_add(bfs.state_bytes(), Ordering::Relaxed);
                 for i in (t..chunks.len()).step_by(threads) {
@@ -236,10 +236,9 @@ pub fn run_sequential_instances<const W: usize, C: BatchConsumer<W>>(
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            h.join().expect("batch worker panicked");
         }
-    })
-    .expect("batch worker panicked");
+    });
 
     BatchReport {
         wall_ns: start.elapsed().as_nanos() as u64,
@@ -270,7 +269,7 @@ pub fn run_one_per_socket<const W: usize, C: BatchConsumer<W>>(
     let mut per_node: Vec<(Vec<u64>, Vec<u64>, u64, usize)> = Vec::new();
     per_node.resize_with(nodes, || (Vec::new(), Vec::new(), 0, 0));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (node, slot) in per_node.iter_mut().enumerate() {
             let node_workers = topology.workers_on(node).len();
@@ -280,7 +279,7 @@ pub fn run_one_per_socket<const W: usize, C: BatchConsumer<W>>(
             let chunks = &chunks;
             let next_batch = &next_batch;
             let opts = &opts;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let pool = WorkerPool::new(node_workers);
                 let mut bfs: MsPbfs<W> = MsPbfs::new(g.num_vertices());
                 let mut busy = vec![0u64; node_workers];
@@ -310,10 +309,9 @@ pub fn run_one_per_socket<const W: usize, C: BatchConsumer<W>>(
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            h.join().expect("socket worker panicked");
         }
-    })
-    .expect("socket worker panicked");
+    });
 
     let mut busy = Vec::new();
     let mut work = Vec::new();

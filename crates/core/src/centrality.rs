@@ -111,10 +111,10 @@ pub fn betweenness_centrality_parallel(
     let n = g.num_vertices();
     let next = AtomicUsize::new(0);
     let mut partials: Vec<Vec<f64>> = vec![vec![0.0; n]; threads];
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for partial in partials.iter_mut() {
             let next = &next;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut state = BrandesState::new(n);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -125,8 +125,7 @@ pub fn betweenness_centrality_parallel(
                 }
             });
         }
-    })
-    .expect("betweenness worker panicked");
+    });
     let mut bc = vec![0.0; n];
     for partial in partials {
         for (acc, p) in bc.iter_mut().zip(partial) {

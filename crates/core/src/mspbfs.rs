@@ -21,18 +21,19 @@
 //! settle tasks build the next iteration's mask with one `fetch_or` per
 //! word per task.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 
 use crate::storage::Adjacency;
-use pbfs_bitset::{Bits, ScanStats, StateArray, SUMMARY_CHUNK};
+use pbfs_bitset::{Bits, StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
-use pbfs_telemetry::{EventKind, PerWorkerU64};
+use pbfs_telemetry::EventKind;
 
-use crate::adapt::{AdaptController, FrontierSample, ScanStrategy};
-use crate::options::{AtomicKind, BfsOptions};
-use crate::policy::{Direction, FrontierMode, FrontierState};
-use crate::stats::{IterationStats, TraversalStats, WorkerIterStats};
+use crate::adapt::ScanStrategy;
+use crate::options::BfsOptions;
+use crate::policy::Direction;
+use crate::stats::TraversalStats;
+use crate::traversal::{task_split, Tally, Traversal};
 use crate::visitor::MsVisitor;
 
 /// Reusable parallel multi-source BFS state for batches of up to `W * 64`
@@ -92,171 +93,41 @@ impl<const W: usize> MsPbfs<W> {
     ) -> TraversalStats {
         let n = g.num_vertices();
         assert_eq!(self.seen.len(), n, "state sized for a different graph");
-        assert!(!sources.is_empty(), "need at least one source");
-        assert!(sources.len() <= W * 64, "batch exceeds bitset width");
-        let start = std::time::Instant::now();
-        // Summary-guided scans want task ranges aligned to summary chunks:
-        // range clears then cover whole chunks, so summary bits are cleared
-        // exactly instead of conservatively.
-        let split = match opts.frontier_mode {
-            FrontierMode::Summary | FrontierMode::Auto => {
-                pbfs_sched::aligned_split(opts.split_size.max(1), SUMMARY_CHUNK)
-            }
-            FrontierMode::Flat => opts.split_size.max(1),
-        };
-        let mode = opts.frontier_mode;
-        // Online controller: under `Auto` it samples the frontier each
-        // iteration and picks the scan strategy; the static modes map to a
-        // fixed strategy. Strategy only changes *how* the frontier arrays
-        // are walked, never what they contain, so any decision is correct.
-        let mut ctl = (mode == FrontierMode::Auto).then(|| AdaptController::new(opts.adapt));
-        let mut cur_scan = match mode {
-            FrontierMode::Flat => ScanStrategy::Flat,
-            FrontierMode::Summary | FrontierMode::Auto => ScanStrategy::Summary,
-        };
-        let pd = opts.prefetch_distance;
-        let qset = opts.query_set;
-        let rec = pbfs_telemetry::recorder();
+        let t = Traversal::new(pool, opts, g, task_split(opts, 1), "core.mspbfs.phase");
+        let (pd, early_exit) = (opts.prefetch_distance, opts.early_exit);
+        t.init(&[&mut self.seen, &mut self.frontier, &mut self.next]);
 
-        // Parallel init: each worker first-touches (and later processes)
-        // the same deterministic ranges — the NUMA placement rule of
-        // Section 4.4.
-        {
-            let (seen, frontier, next) = (&self.seen, &self.frontier, &self.next);
-            // SAFETY: the init ranges are disjoint per worker and nothing
-            // reads the arrays until the pool joins, so the bulk memset
-            // clear is exclusive.
-            pool.parallel_for(n, split, |_, r| unsafe {
-                seen.clear_range_owned(r.start, r.end);
-                frontier.clear_range_owned(r.start, r.end);
-                next.clear_range_owned(r.start, r.end);
-            });
-        }
-
+        let seed = seed_batch(g, &self.seen, &self.frontier, sources, visitor);
         // The sources seed the live-BFS mask: every BFS is running.
         let mut live = Bits::<W>::first_n(sources.len());
-        let mut frontier_vertices = 0u64;
-        let mut frontier_degree = 0u64;
-        let mut unexplored_degree = g.num_directed_edges() as u64;
-        for (i, &s) in sources.iter().enumerate() {
-            assert!((s as usize) < n, "source out of range");
-            let bit = Bits::single(i);
-            if self.seen.get(s as usize).is_empty() {
-                frontier_vertices += 1;
-                frontier_degree += g.degree(s) as u64;
-            }
-            self.seen.or_assign_unsync(s as usize, bit);
-            self.frontier.or_assign_unsync(s as usize, bit);
-            visitor.on_found(s, 0, bit);
-        }
-        for &s in sources {
-            if live.is_subset_of(&self.seen.get(s as usize)) {
-                unexplored_degree = unexplored_degree.saturating_sub(g.degree(s) as u64);
-            }
-        }
 
-        let mut stats = TraversalStats {
-            total_discovered: sources.len() as u64,
-            ..Default::default()
-        };
-        let mut direction = Direction::TopDown;
-        let mut depth = 0u32;
-        // Whole-traversal summary-scan totals, fed from every phase;
-        // per-iteration deltas are carved out at each iteration's end.
-        let sum_skipped = AtomicU64::new(0);
-        let sum_scanned = AtomicU64::new(0);
-        let (mut prev_skipped, mut prev_scanned) = (0u64, 0u64);
-        let note_scan = |s: ScanStats| {
-            sum_skipped.fetch_add(s.chunks_skipped, Ordering::Relaxed);
-            sum_scanned.fetch_add(s.chunks_scanned, Ordering::Relaxed);
-        };
-
-        while frontier_vertices > 0 {
-            // Phase boundary: state arrays are consistent here, so an
-            // injected panic exercises the engine's mid-traversal repair.
-            crate::fail_point!("core.mspbfs.phase");
-            if let Some(max) = opts.max_iterations {
-                if depth >= max {
-                    break;
-                }
-            }
-            depth += 1;
-            let prev_direction = direction;
-            let wanted = opts.policy.decide(&FrontierState {
-                frontier_vertices,
-                frontier_degree,
-                unexplored_degree,
-                total_vertices: n as u64,
-                current: direction,
-            });
-            direction = match ctl.as_mut() {
-                Some(c) => c.decide_direction(depth, direction, wanted),
-                None => wanted,
-            };
-            crate::obs::note_iteration(depth, direction, depth > 1 && direction != prev_direction);
-            let scan = match mode {
-                FrontierMode::Flat => ScanStrategy::Flat,
-                FrontierMode::Summary => ScanStrategy::Summary,
-                FrontierMode::Auto => ctl.as_mut().unwrap().decide_scan(&FrontierSample {
-                    iteration: depth,
-                    frontier_vertices,
-                    frontier_degree,
-                    total_vertices: n as u64,
-                }),
-            };
-            if scan != cur_scan {
-                // Representation-switch boundary — a chaos site: a panic
-                // injected here must fail only this batch.
-                crate::fail_point!("core.adapt.switch");
-                cur_scan = scan;
-            }
-            let iter_start = std::time::Instant::now();
+        t.run(seed, |it| {
+            let depth = it.depth;
             // Resolve the SIMD dispatch level once per iteration and thread
             // it into the hot loops: `#[target_feature]` kernels cannot
             // inline through the per-call dispatch, so the lookup (and the
             // chaos failpoint inside it) is hoisted out of the per-vertex
             // path.
             let lvl = pbfs_bitset::simd::current();
-
-            let discovered = AtomicU64::new(0);
-            let new_fv = AtomicU64::new(0);
-            let new_fd = AtomicU64::new(0);
-            let fully_seen_deg = AtomicU64::new(0);
             // The next live-BFS mask: each settle task ORs in the union
             // of its `new` sets once; read only after the pool joins.
             let next_live = StateArray::<W>::new(1);
-            let workers = pool.num_workers();
-            let updated_pw = PerWorkerU64::new(workers);
-            let visited_pw = PerWorkerU64::new(workers);
-
             let (seen, frontier, next) = (&self.seen, &self.frontier, &self.next);
-
-            let mut per_worker: Vec<WorkerIterStats> = Vec::new();
-            let (mut expand_ns, mut settle_ns) = (0u64, 0u64);
-            match direction {
+            // Records a discovery at `v` of `new`, merging into `seen`.
+            let discover = |v: usize, new: Bits<W>, merged: Bits<W>, c: &mut Tally| {
+                seen.set(v, merged);
+                visitor.on_found(v as VertexId, depth, new);
+                let deg = g.degree(v as VertexId) as u64;
+                c.found(new.count_ones() as u64, deg, live.is_subset_of(&merged));
+            };
+            match it.direction {
                 Direction::TopDown => {
-                    // Sparse strategy: gather the frontier into a vertex
-                    // queue once so phase 1 is O(frontier) work instead of
-                    // a vertex-range scan. The cap equals the tracked
-                    // frontier size, so overflow (None) cannot happen;
-                    // fall back to the summary scan defensively if it does.
-                    let mut scan = scan;
-                    let list = if scan == ScanStrategy::Sparse {
-                        let l = pbfs_bitset::convert::gather_state(
-                            frontier,
-                            frontier_vertices as usize,
-                        );
-                        if l.is_none() {
-                            scan = ScanStrategy::Summary;
-                        }
-                        l
-                    } else {
-                        None
-                    };
+                    let (scan, list) =
+                        it.sparse_queue(|cap| pbfs_bitset::convert::gather_state(frontier, cap));
                     let p1_len = list.as_ref().map_or(n, |l| l.len());
                     // Phase 1: frontier → next, synchronized by atomic OR.
-                    let phase1 = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
+                    let phase1 = |r: Range<usize>| {
+                        let task = r.start;
                         let mut visited = 0u64;
                         // Expand one frontier vertex, prefetching the state
                         // entries of neighbors `pd` positions ahead so the
@@ -268,23 +139,11 @@ impl<const W: usize> MsPbfs<W> {
                                     next.prefetch_entry(nbr as usize);
                                 }
                             }
-                            match opts.atomic {
-                                AtomicKind::FetchOr => {
-                                    for (j, &nbr) in nbrs.iter().enumerate() {
-                                        if pd > 0 && j + pd < nbrs.len() {
-                                            next.prefetch_entry(nbrs[j + pd] as usize);
-                                        }
-                                        next.fetch_or(nbr as usize, f);
-                                    }
+                            for (j, &nbr) in nbrs.iter().enumerate() {
+                                if pd > 0 && j + pd < nbrs.len() {
+                                    next.prefetch_entry(nbrs[j + pd] as usize);
                                 }
-                                AtomicKind::CasLoop => {
-                                    for (j, &nbr) in nbrs.iter().enumerate() {
-                                        if pd > 0 && j + pd < nbrs.len() {
-                                            next.prefetch_entry(nbrs[j + pd] as usize);
-                                        }
-                                        next.fetch_or_cas(nbr as usize, f);
-                                    }
-                                }
+                                next.fetch_or(nbr as usize, f);
                             }
                             visited += nbrs.len() as u64;
                         };
@@ -314,7 +173,7 @@ impl<const W: usize> MsPbfs<W> {
                                 }
                             }
                             ScanStrategy::Summary => {
-                                note_scan(frontier.for_each_active_chunk(
+                                it.note_scan(frontier.for_each_active_chunk(
                                     r.start,
                                     r.end,
                                     |cs, ce| {
@@ -354,13 +213,12 @@ impl<const W: usize> MsPbfs<W> {
                                 ));
                             }
                         }
-                        visited_pw.add(owner, visited);
+                        it.visited(task, visited);
                     };
                     // Phase 2: conflict-free discovery + frontier clearing.
-                    let phase2 = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let (mut disc, mut fv, mut fd, mut full_deg, mut upd) =
-                            (0u64, 0u64, 0u64, 0u64, 0u64);
+                    let phase2 = |r: Range<usize>| {
+                        let task = r.start;
+                        let mut c = Tally::default();
                         let mut found = Bits::<W>::EMPTY;
                         let mut settle = |v: usize| {
                             let nx = next.get(v);
@@ -372,142 +230,66 @@ impl<const W: usize> MsPbfs<W> {
                             // replacing the separate and_not / compare /
                             // is_empty walks. The popcount runs only for
                             // entries that actually discovered something.
-                            let seen_v = seen.get(v);
-                            let (new, merged, flags) = nx.settle_at(lvl, &seen_v);
+                            let (new, merged, flags) = nx.settle_at(lvl, &seen.get(v));
                             if flags.trimmed {
                                 next.set(v, new);
                             }
                             if flags.new_any {
-                                seen.set(v, merged);
-                                visitor.on_found(v as VertexId, depth, new);
+                                discover(v, new, merged, &mut c);
                                 found |= new;
-                                let bits = new.count_ones() as u64;
-                                disc += bits;
-                                upd += bits;
-                                fv += 1;
-                                fd += g.degree(v as VertexId) as u64;
-                                if live.is_subset_of(&merged) {
-                                    full_deg += g.degree(v as VertexId) as u64;
-                                }
                             }
                         };
-                        match scan {
-                            ScanStrategy::Sparse => {
-                                // The gathered frontier entries were already
-                                // cleared after phase 1; only `next` needs
-                                // settling, guided by its summary. One mask
-                                // pass per chunk finds the non-empty entries.
-                                // SAFETY: phase-2 ranges are bijectively
-                                // owned — no other thread touches this chunk
-                                // of `next` until the barrier.
-                                note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                                    let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
-                                    while mask != 0 {
-                                        let v = cs + mask.trailing_zeros() as usize;
-                                        mask &= mask - 1;
-                                        settle(v);
-                                    }
-                                }));
+                        if scan == ScanStrategy::Flat {
+                            for v in r {
+                                frontier.clear_entry(v);
+                                settle(v);
                             }
-                            ScanStrategy::Flat => {
-                                for v in r {
-                                    frontier.clear_entry(v);
-                                    settle(v);
-                                }
-                            }
-                            ScanStrategy::Summary => {
-                                // Nothing reads `frontier` this phase: clear
-                                // only its active chunks (ranges are chunk-
-                                // aligned, so summary bits clear exactly).
-                                // SAFETY (both): phase-2 ranges are
-                                // bijectively owned, so this worker has the
-                                // chunk to itself until the barrier.
-                                note_scan(frontier.for_each_active_chunk(
+                        } else {
+                            // Nothing reads `frontier` this phase: a summary
+                            // scan clears only its active chunks (ranges are
+                            // chunk-aligned, so summary bits clear exactly).
+                            // The gathered entries of a sparse phase 1 were
+                            // already cleared. Then `next` is settled, guided
+                            // by its summary; one mask pass per chunk finds
+                            // the non-empty entries.
+                            // SAFETY (all): phase-2 ranges are bijectively
+                            // owned, so this worker has the chunk to itself
+                            // until the barrier.
+                            if scan == ScanStrategy::Summary {
+                                it.note_scan(frontier.for_each_active_chunk(
                                     r.start,
                                     r.end,
                                     |cs, ce| unsafe { frontier.clear_range_owned(cs, ce) },
                                 ));
-                                note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
-                                    let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
-                                    while mask != 0 {
-                                        let v = cs + mask.trailing_zeros() as usize;
-                                        mask &= mask - 1;
-                                        settle(v);
-                                    }
-                                }));
                             }
+                            it.note_scan(next.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                                let mut mask = unsafe { next.nonempty_mask_at(lvl, cs, ce) };
+                                while mask != 0 {
+                                    let v = cs + mask.trailing_zeros() as usize;
+                                    mask &= mask - 1;
+                                    settle(v);
+                                }
+                            }));
                         }
                         next_live.fetch_or(0, found);
-                        discovered.fetch_add(disc, Ordering::Relaxed);
-                        new_fv.fetch_add(fv, Ordering::Relaxed);
-                        new_fd.fetch_add(fd, Ordering::Relaxed);
-                        fully_seen_deg.fetch_add(full_deg, Ordering::Relaxed);
-                        updated_pw.add(owner, upd);
+                        it.settled(task, c);
                     };
+                    it.phase(EventKind::TopDownPhase1, p1_len, phase1);
                     // After a sparse phase 1 the frontier is cleared by
                     // replaying the gathered queue — O(frontier) entry
                     // clears on the coordinating thread. Entry clears leave
                     // summary marks set, which is the conservative
                     // direction for any later summary-guided scan.
-                    let clear_gathered = || {
-                        if let Some(entries) = &list {
-                            for &(v, _) in entries {
-                                frontier.clear_entry(v as usize);
-                            }
-                        }
-                    };
-                    if opts.instrument {
-                        // Phase walls measured directly (not via the
-                        // recorder, which yields no timestamps while trace
-                        // recording is off) so profiles work untraced.
-                        let t1 = std::time::Instant::now();
-                        let s1 =
-                            pool.parallel_for_instrumented(p1_len, split, |w, r, _| phase1(w, r));
-                        let d1 = t1.elapsed();
-                        rec.span_at_ctx(
-                            0,
-                            EventKind::TopDownPhase1,
-                            t1,
-                            d1,
-                            frontier_vertices,
-                            0,
-                            qset,
-                        );
-                        clear_gathered();
-                        let t2 = std::time::Instant::now();
-                        let s2 = pool.parallel_for_instrumented(n, split, |w, r, _| phase2(w, r));
-                        let d2 = t2.elapsed();
-                        rec.span_at_ctx(
-                            0,
-                            EventKind::TopDownPhase2,
-                            t2,
-                            d2,
-                            frontier_vertices,
-                            0,
-                            qset,
-                        );
-                        expand_ns = d1.as_nanos() as u64;
-                        settle_ns = d2.as_nanos() as u64;
-                        per_worker = merge_worker_stats_pub(
-                            &[s1, s2],
-                            &visited_pw.snapshot(),
-                            &updated_pw.snapshot(),
-                        );
-                    } else {
-                        let t1 = rec.start();
-                        pool.parallel_for(p1_len, split, phase1);
-                        rec.span_ctx(0, EventKind::TopDownPhase1, t1, frontier_vertices, 0, qset);
-                        clear_gathered();
-                        let t2 = rec.start();
-                        pool.parallel_for(n, split, phase2);
-                        rec.span_ctx(0, EventKind::TopDownPhase2, t2, frontier_vertices, 0, qset);
+                    for &(v, _) in list.iter().flatten() {
+                        frontier.clear_entry(v as usize);
                     }
+                    it.phase(EventKind::TopDownPhase2, n, phase2);
                 }
                 Direction::BottomUp => {
-                    let body = |_worker: usize, r: std::ops::Range<usize>| {
-                        let owner = (r.start / split) % workers;
-                        let (mut disc, mut fv, mut fd, mut full_deg, mut upd, mut visited) =
-                            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+                    let body = |r: Range<usize>| {
+                        let task = r.start;
+                        let mut c = Tally::default();
+                        let mut visited = 0u64;
                         let mut found = Bits::<W>::EMPTY;
                         for u in r {
                             let seen_u = seen.get(u);
@@ -530,7 +312,7 @@ impl<const W: usize> MsPbfs<W> {
                                 }
                                 visited += 1;
                                 acc |= frontier.get(v as usize);
-                                if opts.early_exit && need.is_subset_of(&acc) {
+                                if early_exit && need.is_subset_of(&acc) {
                                     break;
                                 }
                             }
@@ -539,145 +321,61 @@ impl<const W: usize> MsPbfs<W> {
                             let (new, merged, flags) = acc.settle_at(lvl, &seen_u);
                             if flags.new_any {
                                 next.set(u, new);
-                                seen.set(u, merged);
-                                visitor.on_found(u as VertexId, depth, new);
+                                discover(u, new, merged, &mut c);
                                 found |= new;
-                                let bits = new.count_ones() as u64;
-                                disc += bits;
-                                upd += bits;
-                                fv += 1;
-                                fd += g.degree(u as VertexId) as u64;
-                                if live.is_subset_of(&merged) {
-                                    full_deg += g.degree(u as VertexId) as u64;
-                                }
                             }
                         }
                         next_live.fetch_or(0, found);
-                        discovered.fetch_add(disc, Ordering::Relaxed);
-                        new_fv.fetch_add(fv, Ordering::Relaxed);
-                        new_fd.fetch_add(fd, Ordering::Relaxed);
-                        fully_seen_deg.fetch_add(full_deg, Ordering::Relaxed);
-                        updated_pw.add(owner, upd);
-                        visited_pw.add(owner, visited);
+                        it.settled(task, c);
+                        it.visited(task, visited);
                     };
-                    if opts.instrument {
-                        let t = std::time::Instant::now();
-                        let s = pool.parallel_for_instrumented(n, split, |w, r, _| body(w, r));
-                        let d = t.elapsed();
-                        rec.span_at_ctx(0, EventKind::BottomUp, t, d, frontier_vertices, 0, qset);
-                        expand_ns = d.as_nanos() as u64;
-                        per_worker = merge_worker_stats_pub(
-                            &[s],
-                            &visited_pw.snapshot(),
-                            &updated_pw.snapshot(),
-                        );
-                    } else {
-                        let t = rec.start();
-                        pool.parallel_for(n, split, body);
-                        rec.span_ctx(0, EventKind::BottomUp, t, frontier_vertices, 0, qset);
-                    }
+                    it.phase(EventKind::BottomUp, n, body);
                 }
             }
-
-            // Rotate buffers. After top-down, the old frontier was cleared
-            // in phase 2; after bottom-up it must be cleared explicitly
-            // because it is read throughout the single loop.
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            if direction == Direction::BottomUp {
-                let next = &self.next;
-                match scan {
-                    ScanStrategy::Flat => {
-                        pool.parallel_for(n, split, |_, r| next.clear_range(r.start, r.end));
-                    }
-                    ScanStrategy::Summary | ScanStrategy::Sparse => {
-                        // Only active chunks can hold stale bits.
-                        // SAFETY: the parallel_for ranges are disjoint and
-                        // nothing else touches `next` here, so each worker
-                        // owns its chunks outright.
-                        pool.parallel_for(n, split, |_, r| {
-                            note_scan(next.for_each_active_chunk(
-                                r.start,
-                                r.end,
-                                |cs, ce| unsafe { next.clear_range_owned(cs, ce) },
-                            ));
-                        });
-                    }
-                }
-            }
-
+            it.rotate(&mut self.frontier, &mut self.next);
             live = next_live.get(0);
-            frontier_vertices = new_fv.load(Ordering::Relaxed);
-            frontier_degree = new_fd.load(Ordering::Relaxed);
-            unexplored_degree =
-                unexplored_degree.saturating_sub(fully_seen_deg.load(Ordering::Relaxed));
-            let discovered = discovered.load(Ordering::Relaxed);
-            stats.total_discovered += discovered;
-            let iter_wall = iter_start.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::Iteration,
-                iter_start,
-                iter_wall,
-                depth as u64,
-                discovered,
-                qset,
-            );
-            let total_skipped = sum_skipped.load(Ordering::Relaxed);
-            let total_scanned = sum_scanned.load(Ordering::Relaxed);
-            stats.iterations.push(IterationStats {
-                iteration: depth,
-                direction,
-                wall_ns: iter_wall.as_nanos() as u64,
-                expand_ns,
-                settle_ns,
-                frontier_vertices,
-                discovered,
-                chunks_scanned: total_scanned - prev_scanned,
-                chunks_skipped: total_skipped - prev_skipped,
-                per_worker,
-            });
-            prev_scanned = total_scanned;
-            prev_skipped = total_skipped;
-        }
-
-        if let Some(c) = ctl {
-            stats.adapt_decisions = c.into_log();
-        }
-        stats.summary_chunks_skipped = sum_skipped.load(Ordering::Relaxed);
-        stats.summary_chunks_scanned = sum_scanned.load(Ordering::Relaxed);
-        crate::obs::note_summary_scan(stats.summary_chunks_skipped, stats.summary_chunks_scanned);
-        crate::obs::note_traversal(stats.total_discovered);
-        stats.total_wall_ns = start.elapsed().as_nanos() as u64;
-        stats
+        })
     }
 }
 
-/// Combines per-phase scheduler stats with the algorithm-level counters
-/// into one [`WorkerIterStats`] row per worker.
-pub(crate) fn merge_worker_stats_pub(
-    phases: &[pbfs_sched::RunStats],
-    visited: &[u64],
-    updated: &[u64],
-) -> Vec<WorkerIterStats> {
-    let workers = phases.iter().map(|p| p.per_worker.len()).max().unwrap_or(0);
-    (0..workers)
-        .map(|w| {
-            let mut s = WorkerIterStats {
-                visited_neighbors: visited.get(w).copied().unwrap_or(0),
-                updated_states: updated.get(w).copied().unwrap_or(0),
-                ..Default::default()
-            };
-            for p in phases {
-                if let Some(pw) = p.per_worker.get(w) {
-                    s.busy_ns += pw.busy_ns;
-                    s.tasks += pw.tasks;
-                    s.stolen += pw.stolen;
-                    s.remote += pw.remote;
-                }
-            }
-            s
-        })
-        .collect()
+/// Seeds a batch: source `i` sets bit `i` in `seen` and `frontier` and is
+/// reported at depth 0. Returns the frontier the traversal starts from.
+///
+/// # Panics
+/// Panics if `sources` is empty, exceeds `W * 64` or contains an
+/// out-of-range vertex.
+pub(crate) fn seed_batch<const W: usize, G: Adjacency + ?Sized>(
+    g: &G,
+    seen: &StateArray<W>,
+    frontier: &StateArray<W>,
+    sources: &[VertexId],
+    visitor: &impl MsVisitor<W>,
+) -> Tally {
+    assert!(!sources.is_empty(), "need at least one source");
+    assert!(sources.len() <= W * 64, "batch exceeds bitset width");
+    let mut seed = Tally {
+        discovered: sources.len() as u64,
+        ..Default::default()
+    };
+    for (i, &s) in sources.iter().enumerate() {
+        assert!((s as usize) < g.num_vertices(), "source out of range");
+        let bit = Bits::single(i);
+        if seen.get(s as usize).is_empty() {
+            seed.vertices += 1;
+            seed.degree += g.degree(s) as u64;
+        }
+        seen.or_assign_unsync(s as usize, bit);
+        frontier.or_assign_unsync(s as usize, bit);
+        visitor.on_found(s, 0, bit);
+    }
+    // A source that every BFS of the batch has seen leaves `m_u`.
+    let live = Bits::<W>::first_n(sources.len());
+    for &s in sources {
+        if live.is_subset_of(&seen.get(s as usize)) {
+            seed.fully_seen += g.degree(s) as u64;
+        }
+    }
+    seed
 }
 
 /// A connected random graph on `n` vertices (a Hamiltonian cycle plus
@@ -751,16 +449,6 @@ mod tests {
         let g = gen::uniform(400, 1600, 3);
         let sources: Vec<u32> = (0..128).map(|i| i % 400).collect();
         check_batch::<2>(&g, &sources, 3, &BfsOptions::default());
-    }
-
-    #[test]
-    fn cas_ablation_matches() {
-        let g = gen::uniform(300, 1000, 4);
-        let opts = BfsOptions {
-            atomic: AtomicKind::CasLoop,
-            ..Default::default()
-        };
-        check_batch::<1>(&g, &(0..32).collect::<Vec<_>>(), 4, &opts);
     }
 
     #[test]

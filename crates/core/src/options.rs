@@ -3,20 +3,6 @@
 use crate::adapt::{AdaptConfig, ObservedProfile};
 use crate::policy::{DirectionPolicy, FrontierMode};
 
-/// How the first top-down phase merges frontiers into `next`.
-///
-/// The paper (Section 3.1.1) formulates the update as a CAS loop; on x86 a
-/// single `lock or` (`fetch_or`) has identical semantics because bits are
-/// only ever added. The `ablation_atomic` bench quantifies the difference.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AtomicKind {
-    /// `AtomicU64::fetch_or` per word (default).
-    #[default]
-    FetchOr,
-    /// Explicit compare-and-swap loop per word, as written in the paper.
-    CasLoop,
-}
-
 /// Default software-prefetch lookahead: deep enough to cover an L2 miss
 /// with the work of a few frontier vertices, shallow enough that the
 /// prefetched lines survive until use.
@@ -30,8 +16,6 @@ pub struct BfsOptions {
     pub split_size: usize,
     /// Direction-switching policy.
     pub policy: DirectionPolicy,
-    /// Atomic update flavour for the first top-down phase.
-    pub atomic: AtomicKind,
     /// 64-bit chunk skipping when scanning dense single-source state
     /// (Section 3.2). Disable only for the ablation bench.
     pub chunk_skip: bool,
@@ -67,7 +51,6 @@ impl Default for BfsOptions {
         Self {
             split_size: pbfs_sched::DEFAULT_SPLIT_SIZE,
             policy: DirectionPolicy::default(),
-            atomic: AtomicKind::FetchOr,
             chunk_skip: true,
             early_exit: true,
             frontier_mode: FrontierMode::default(),
@@ -168,7 +151,6 @@ mod tests {
     fn defaults_match_paper() {
         let o = BfsOptions::default();
         assert_eq!(o.split_size, 256);
-        assert_eq!(o.atomic, AtomicKind::FetchOr);
         assert!(o.chunk_skip);
         assert!(o.early_exit);
         assert_eq!(o.frontier_mode, FrontierMode::Auto);

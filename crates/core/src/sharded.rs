@@ -40,17 +40,19 @@
 //! [`MsPbfs`](crate::mspbfs::MsPbfs) can be grafted onto it later without
 //! changing results.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 
 use crate::storage::ShardedAdjacency;
-use pbfs_bitset::{Bits, ScanStats, StateArray, SUMMARY_CHUNK};
+use pbfs_bitset::{StateArray, SUMMARY_CHUNK};
 use pbfs_graph::VertexId;
 use pbfs_sched::WorkerPool;
 use pbfs_telemetry::EventKind;
 
+use crate::mspbfs::seed_batch;
 use crate::options::BfsOptions;
-use crate::policy::Direction;
-use crate::stats::{IterationStats, TraversalStats};
+use crate::policy::{DirectionPolicy, FrontierMode};
+use crate::stats::TraversalStats;
+use crate::traversal::{Tally, Traversal};
 use crate::visitor::MsVisitor;
 
 /// Reusable sharded multi-source BFS state for batches of up to `W * 64`
@@ -136,83 +138,41 @@ impl<const W: usize> ShardedMsBfs<W> {
             part.num_nodes(),
             "state sized for a different partition count"
         );
-        assert!(!sources.is_empty(), "need at least one source");
-        assert!(sources.len() <= W * 64, "batch exceeds bitset width");
-        let start = std::time::Instant::now();
+        // Top-down only, over summary-guided scans: no direction policy or
+        // scan controller applies.
+        let opts = BfsOptions {
+            policy: DirectionPolicy::AlwaysTopDown,
+            frontier_mode: FrontierMode::Summary,
+            ..*opts
+        };
         // Task ranges must match the partition split exactly: that is the
         // invariant making every scatter range single-partition. The engine
         // builds the partition with a chunk-aligned split; an unaligned one
         // merely makes range clears conservative, never incorrect.
         let split = part.split_size();
+        let t = Traversal::new(pool, &opts, part, split, "core.sharded.phase");
         let pd = opts.prefetch_distance;
-        let qset = opts.query_set;
-        let rec = pbfs_telemetry::recorder();
+        let arrays: Vec<_> = [&mut self.seen, &mut self.frontier]
+            .into_iter()
+            .chain(&mut self.contrib)
+            .collect();
+        t.init(&arrays);
 
-        // Parallel init: each worker first-touches the same deterministic
-        // ranges it will later process (Section 4.4 placement).
-        {
-            let (seen, frontier, contrib) = (&self.seen, &self.frontier, &self.contrib);
-            // SAFETY: init ranges are disjoint per worker and nothing reads
-            // the arrays until the pool joins.
-            pool.parallel_for(n, split, |_, r| unsafe {
-                seen.clear_range_owned(r.start, r.end);
-                frontier.clear_range_owned(r.start, r.end);
-                for c in contrib {
-                    c.clear_range_owned(r.start, r.end);
-                }
-            });
-        }
+        let seed = seed_batch(part, &self.seen, &self.frontier, sources, visitor);
 
-        let mut frontier_vertices = 0u64;
-        for (i, &s) in sources.iter().enumerate() {
-            assert!((s as usize) < n, "source out of range");
-            let bit = Bits::single(i);
-            if self.seen.get(s as usize).is_empty() {
-                frontier_vertices += 1;
-            }
-            self.seen.or_assign_unsync(s as usize, bit);
-            self.frontier.or_assign_unsync(s as usize, bit);
-            visitor.on_found(s, 0, bit);
-        }
-
-        let mut stats = TraversalStats {
-            total_discovered: sources.len() as u64,
-            ..Default::default()
-        };
-        let mut depth = 0u32;
-        let sum_skipped = AtomicU64::new(0);
-        let sum_scanned = AtomicU64::new(0);
-        let (mut prev_skipped, mut prev_scanned) = (0u64, 0u64);
-        let note_scan = |s: ScanStats| {
-            sum_skipped.fetch_add(s.chunks_skipped, Ordering::Relaxed);
-            sum_scanned.fetch_add(s.chunks_scanned, Ordering::Relaxed);
-        };
-
-        while frontier_vertices > 0 {
-            // Iteration barrier boundary: arrays are consistent here, so an
-            // injected panic exercises the engine's per-shard repair path.
-            crate::fail_point!("core.sharded.phase");
-            if let Some(max) = opts.max_iterations {
-                if depth >= max {
-                    break;
-                }
-            }
-            depth += 1;
-            crate::obs::note_iteration(depth, Direction::TopDown, false);
-            let iter_start = std::time::Instant::now();
+        t.run(seed, |it| {
+            let depth = it.depth;
             // Dispatch level hoisted out of the per-vertex loops (the
             // `#[target_feature]` kernels cannot inline through it).
             let lvl = pbfs_bitset::simd::current();
-
-            let discovered = AtomicU64::new(0);
-            let new_fv = AtomicU64::new(0);
             let (seen, frontier, contrib) = (&self.seen, &self.frontier, &self.contrib);
 
             // Scatter: expand each range's frontier through its owning
             // partition's segment into that partition's contribution array.
-            let scatter = |_worker: usize, r: std::ops::Range<usize>| {
+            let scatter = |r: Range<usize>| {
                 let dst = &contrib[part.node_of(r.start as VertexId)];
-                note_scan(frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
+                let mut visited = 0u64;
+                it.note_scan(frontier.for_each_active_chunk(r.start, r.end, |cs, ce| {
                     // SAFETY: the scatter phase only reads `frontier` (all
                     // writes go to the contribution arrays), so the
                     // non-atomic mask scan cannot race a writer.
@@ -233,35 +193,26 @@ impl<const W: usize> ShardedMsBfs<W> {
                             }
                             dst.fetch_or(nbr as usize, f);
                         }
+                        visited += nbrs.len() as u64;
                     }
                 }));
+                it.visited(r.start, visited);
             };
-            let t1 = std::time::Instant::now();
-            pool.parallel_for(n, split, scatter);
-            // The parallel_for return is the iteration barrier: every
+            // The phase's pool join is the iteration barrier: every
             // partition's contribution is complete before any gather reads.
-            let d1 = t1.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::TopDownPhase1,
-                t1,
-                d1,
-                frontier_vertices,
-                0,
-                qset,
-            );
+            it.phase(EventKind::TopDownPhase1, n, scatter);
 
             // Gather: conflict-free per-vertex merge of all partitions'
             // contributions, settling against `seen` and recycling the
             // contribution buffers.
-            let gather = |_worker: usize, r: std::ops::Range<usize>| {
+            let gather = |r: Range<usize>| {
                 // The old frontier is dead after the scatter barrier;
                 // clear it before the new one is published below.
                 // SAFETY (this and every unsafe call below): gather
                 // ranges partition the vertex space bijectively, so this
                 // worker has exclusive access to entries `r` of every
                 // array until the phase barrier.
-                note_scan(
+                it.note_scan(
                     frontier.for_each_active_chunk(r.start, r.end, |cs, ce| unsafe {
                         frontier.clear_range_owned(cs, ce)
                     }),
@@ -270,7 +221,7 @@ impl<const W: usize> ShardedMsBfs<W> {
                 let nchunks = (r.end - 1) / SUMMARY_CHUNK - chunk0 + 1;
                 let mut active = vec![false; nchunks];
                 for c in contrib {
-                    note_scan(c.for_each_active_chunk(r.start, r.end, |cs, _| {
+                    it.note_scan(c.for_each_active_chunk(r.start, r.end, |cs, _| {
                         active[cs / SUMMARY_CHUNK - chunk0] = true;
                     }));
                 }
@@ -280,20 +231,19 @@ impl<const W: usize> ShardedMsBfs<W> {
                 // and a mask scan then finds the non-empty entries —
                 // instead of `partitions × W` word loads per vertex.
                 let (acc, rest) = contrib.split_first().expect("at least one partition");
-                let (mut disc, mut fv) = (0u64, 0u64);
+                let mut tally = Tally::default();
                 for (i, act) in active.iter().enumerate() {
                     if !act {
                         continue;
                     }
                     let cs = ((chunk0 + i) * SUMMARY_CHUNK).max(r.start);
                     let ce = ((chunk0 + i + 1) * SUMMARY_CHUNK).min(r.end);
-                    let mask = unsafe {
+                    let mut mask = unsafe {
                         for c in rest {
                             acc.or_from_at(lvl, c, cs, ce);
                         }
                         acc.nonempty_mask_at(lvl, cs, ce)
                     };
-                    let mut mask = mask;
                     while mask != 0 {
                         let v = cs + mask.trailing_zeros() as usize;
                         mask &= mask - 1;
@@ -306,8 +256,7 @@ impl<const W: usize> ShardedMsBfs<W> {
                             seen.set(v, merged);
                             visitor.on_found(v as VertexId, depth, new);
                             frontier.set(v, new);
-                            disc += new.count_ones() as u64;
-                            fv += 1;
+                            tally.found(new.count_ones() as u64, 0, false);
                         }
                     }
                     unsafe {
@@ -317,59 +266,10 @@ impl<const W: usize> ShardedMsBfs<W> {
                         }
                     }
                 }
-                discovered.fetch_add(disc, Ordering::Relaxed);
-                new_fv.fetch_add(fv, Ordering::Relaxed);
+                it.settled(r.start, tally);
             };
-            let t2 = std::time::Instant::now();
-            pool.parallel_for(n, split, gather);
-            let d2 = t2.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::TopDownPhase2,
-                t2,
-                d2,
-                frontier_vertices,
-                0,
-                qset,
-            );
-
-            frontier_vertices = new_fv.load(Ordering::Relaxed);
-            let discovered = discovered.load(Ordering::Relaxed);
-            stats.total_discovered += discovered;
-            let iter_wall = iter_start.elapsed();
-            rec.span_at_ctx(
-                0,
-                EventKind::Iteration,
-                iter_start,
-                iter_wall,
-                depth as u64,
-                discovered,
-                qset,
-            );
-            let total_skipped = sum_skipped.load(Ordering::Relaxed);
-            let total_scanned = sum_scanned.load(Ordering::Relaxed);
-            stats.iterations.push(IterationStats {
-                iteration: depth,
-                direction: Direction::TopDown,
-                wall_ns: iter_wall.as_nanos() as u64,
-                expand_ns: d1.as_nanos() as u64,
-                settle_ns: d2.as_nanos() as u64,
-                frontier_vertices,
-                discovered,
-                chunks_scanned: total_scanned - prev_scanned,
-                chunks_skipped: total_skipped - prev_skipped,
-                per_worker: Vec::new(),
-            });
-            prev_scanned = total_scanned;
-            prev_skipped = total_skipped;
-        }
-
-        stats.summary_chunks_skipped = sum_skipped.load(Ordering::Relaxed);
-        stats.summary_chunks_scanned = sum_scanned.load(Ordering::Relaxed);
-        crate::obs::note_summary_scan(stats.summary_chunks_skipped, stats.summary_chunks_scanned);
-        crate::obs::note_traversal(stats.total_discovered);
-        stats.total_wall_ns = start.elapsed().as_nanos() as u64;
-        stats
+            it.phase(EventKind::TopDownPhase2, n, gather);
+        })
     }
 }
 

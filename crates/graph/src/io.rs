@@ -10,7 +10,6 @@ use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut};
 use pbfs_json::Json;
 
 use crate::{CsrGraph, VertexId};
@@ -326,14 +325,14 @@ pub fn read_text<R: Read>(input: R) -> IoResult<CsrGraph> {
 pub fn write_binary<W: Write>(g: &CsrGraph, out: W) -> IoResult<()> {
     let mut out = BufWriter::new(out);
     let mut header = Vec::with_capacity(24);
-    header.put_slice(MAGIC);
-    header.put_u64_le(g.num_vertices() as u64);
-    header.put_u64_le(g.num_edges() as u64);
+    header.extend_from_slice(MAGIC);
+    header.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    header.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
     out.write_all(&header)?;
     let mut buf = Vec::with_capacity(8 * 1024);
     for (u, v) in g.edges() {
-        buf.put_u32_le(u);
-        buf.put_u32_le(v);
+        buf.extend_from_slice(&u.to_le_bytes());
+        buf.extend_from_slice(&v.to_le_bytes());
         if buf.len() >= 8 * 1024 {
             out.write_all(&buf)?;
             buf.clear();
@@ -361,14 +360,12 @@ pub fn read_binary<R: Read>(mut input: R) -> IoResult<CsrGraph> {
     if got < header.len() {
         return Err(GraphIoError::TruncatedHeader { read: got });
     }
-    let mut cursor = &header[..];
-    let mut magic = [0u8; 8];
-    cursor.copy_to_slice(&mut magic);
+    let field = |at: usize| -> [u8; 8] { std::array::from_fn(|i| header[at + i]) };
+    let magic = field(0);
     if &magic != MAGIC {
         return Err(GraphIoError::BadMagic { found: magic });
     }
-    let n64 = cursor.get_u64_le();
-    let m64 = cursor.get_u64_le();
+    let (n64, m64) = (u64::from_le_bytes(field(8)), u64::from_le_bytes(field(16)));
     if n64 > u32::MAX as u64 {
         return Err(GraphIoError::CountOverflow {
             what: "vertex",
@@ -394,10 +391,9 @@ pub fn read_binary<R: Read>(mut input: R) -> IoResult<CsrGraph> {
         let want = take * 8;
         let got = read_up_to(&mut input, &mut buf[..want])?;
         let whole = got / 8;
-        let mut cursor = &buf[..whole * 8];
-        for _ in 0..whole {
-            let u = cursor.get_u32_le();
-            let v = cursor.get_u32_le();
+        for pair in buf[..whole * 8].chunks_exact(8) {
+            let id = |at: usize| u32::from_le_bytes(std::array::from_fn(|i| pair[at + i]));
+            let (u, v) = (id(0), id(4));
             let hi = u.max(v);
             if hi as usize >= n {
                 return Err(GraphIoError::EndpointOutOfRange {
@@ -557,9 +553,9 @@ mod tests {
         // Header claims u64::MAX edges with an empty payload: must fail
         // fast with a typed error, not attempt a multi-exabyte allocation.
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(4);
-        buf.put_u64_le(u64::MAX);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&4u64.to_le_bytes());
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             read_binary(&buf[..]),
             Err(GraphIoError::CountOverflow { what: "edge", .. })
@@ -567,11 +563,11 @@ mod tests {
         // A large-but-representable lie streams until EOF then reports
         // exact progress.
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(4);
-        buf.put_u64_le(1 << 40);
-        buf.put_u32_le(0);
-        buf.put_u32_le(1);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&4u64.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
         match read_binary(&buf[..]) {
             Err(GraphIoError::TruncatedPayload {
                 expected_edges,
@@ -584,11 +580,11 @@ mod tests {
     #[test]
     fn binary_rejects_out_of_range_endpoint() {
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(3);
-        buf.put_u64_le(1);
-        buf.put_u32_le(0);
-        buf.put_u32_le(7);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&7u32.to_le_bytes());
         match read_binary(&buf[..]) {
             Err(GraphIoError::EndpointOutOfRange {
                 edge: Some(0),
@@ -603,9 +599,9 @@ mod tests {
     #[test]
     fn binary_rejects_oversized_vertex_count() {
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(u64::MAX);
-        buf.put_u64_le(0);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
         assert!(matches!(
             read_binary(&buf[..]),
             Err(GraphIoError::CountOverflow { what: "vertex", .. })

@@ -1,7 +1,5 @@
 //! Offline shim of the `crossbeam` API surface this workspace uses:
-//! `utils::CachePadded` and `thread::scope`, implemented on top of the
-//! standard library (`std::thread::scope` has subsumed the scoped-thread
-//! part of crossbeam since Rust 1.63).
+//! `utils::CachePadded`. Scoped threads come from `std::thread::scope`.
 
 #![warn(missing_docs)]
 
@@ -59,64 +57,9 @@ pub mod utils {
     }
 }
 
-/// Scoped threads with the crossbeam calling convention.
-pub mod thread {
-    use std::any::Any;
-
-    /// Result of joining a scoped thread.
-    pub type Result<T> = std::result::Result<T, Box<dyn Any + Send + 'static>>;
-
-    /// A scope handle passed to [`scope`] closures and spawned threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle of a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread and returns its result (`Err` on panic).
-        pub fn join(self) -> Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread; unlike `std`, the closure receives the
-        /// scope again so it can spawn siblings (crossbeam convention).
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner_scope = self.inner;
-            ScopedJoinHandle {
-                inner: inner_scope.spawn(move || f(&Scope { inner: inner_scope })),
-            }
-        }
-    }
-
-    /// Creates a scope in which threads borrowing the environment can be
-    /// spawned. Returns `Ok` unless a *detached* (never-joined) child
-    /// panicked; explicitly joined panics surface through `join` like
-    /// upstream.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::thread as cb_thread;
     use super::utils::CachePadded;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn cache_padded_is_big_and_transparent() {
@@ -124,56 +67,5 @@ mod tests {
         let p = CachePadded::new(41u64);
         assert_eq!(*p + 1, 42);
         assert_eq!(p.into_inner(), 41);
-    }
-
-    #[test]
-    fn scope_spawns_and_joins() {
-        let counter = AtomicUsize::new(0);
-        let counter = &counter;
-        let sum = cb_thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|i| {
-                    s.spawn(move |_| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        i * 10
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum::<usize>()
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
-        assert_eq!(sum, 60);
-    }
-
-    #[test]
-    fn joined_panic_is_an_err() {
-        let r = cb_thread::scope(|s| {
-            let h = s.spawn(|_| panic!("boom"));
-            h.join()
-        })
-        .unwrap();
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn nested_spawn_from_scope_arg() {
-        let hits = AtomicUsize::new(0);
-        cb_thread::scope(|s| {
-            s.spawn(|s2| {
-                s2.spawn(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                })
-                .join()
-                .unwrap();
-            })
-            .join()
-            .unwrap();
-        })
-        .unwrap();
-        assert_eq!(hits.into_inner(), 1);
     }
 }

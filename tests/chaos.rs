@@ -70,9 +70,10 @@ fn chaos_soak_holds_engine_invariants_across_25_schedules() {
 }
 
 /// The soak invariants hold with the engine sharded across two simulated
-/// sockets too: faults (including the `core.sharded.phase` site, which
-/// only sharded schedules reach) stay contained to the shard they hit,
-/// and every Ok answer remains oracle-exact.
+/// sockets too: faults stay contained to the shard they hit, and every Ok
+/// answer remains oracle-exact. Sharded engines run MS-PBFS and SMS-PBFS
+/// over the partition view, so the `core.sharded.phase` site in the pool
+/// is never reached here.
 #[test]
 fn chaos_soak_holds_invariants_with_two_shards() {
     let _g = guard();
@@ -125,8 +126,7 @@ fn chaos_schedules_are_deterministic_per_seed() {
 
 /// Determinism is pinned across the newer execution axes too, not just
 /// the default stack: the same master seed replays the same armed sites
-/// on the two-shard scatter/gather engine and under the forced-scalar
-/// SIMD kernels.
+/// on the two-shard engine and under the forced-scalar SIMD kernels.
 #[test]
 fn chaos_schedules_are_deterministic_with_shards_and_scalar_simd() {
     use pbfs::bitset::simd::{set_level, SimdLevel};

@@ -1,5 +1,4 @@
-//! Differential-testing oracle harness for the sharded scatter/gather
-//! engine: with `EngineConfig::shards` ∈ {2, 4} every query's distances
+//! Differential-testing oracle harness for the sharded engine: with `EngineConfig::shards` ∈ {2, 4} every query's distances
 //! must be **bit-identical** to the single-shard engine's — across every
 //! supported batch width, including the singleton path — and a poisoned
 //! shard must fail only its own batches while the others keep serving.
@@ -38,9 +37,9 @@ fn run_engine(g: &Arc<CsrGraph>, shards: usize, width: usize, sources: &[u32]) -
 
 /// The acceptance matrix: every supported batch width × shard counts
 /// {1, 2, 4}, 1000+ query comparisons total. The single-shard engine is
-/// the oracle (it runs the classic plain-CSR kernels); the sharded
-/// engines run the scatter/gather kernel over the partitioned CSR and
-/// must reproduce its distances bit for bit.
+/// the oracle (it runs the kernels over the plain CSR); the sharded
+/// engines run the same MS-PBFS over the partitioned CSR and must
+/// reproduce its distances bit for bit.
 #[test]
 fn sharded_engine_is_bit_identical_across_shard_counts() {
     let g = Arc::new(pbfs::graph::gen::Kronecker::graph500(9).seed(17).generate());
@@ -65,7 +64,7 @@ fn sharded_engine_is_bit_identical_across_shard_counts() {
 }
 
 /// A lone submission takes the singleton flush path (width 1); under
-/// sharding that path runs the scatter/gather kernel at `W = 1` and must
+/// sharding that path runs SMS-PBFS over the partitioned CSR and must
 /// still match the textbook oracle exactly.
 #[test]
 fn sharded_singleton_path_matches_textbook() {

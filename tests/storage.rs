@@ -66,7 +66,7 @@ fn engine_serves_each_published_epoch_in_order() {
     assert_eq!(rerouted[1], 9, "1 is now only reachable the long way round");
 }
 
-/// The sharded engine (scatter/gather kernel over the partition mirror)
+/// The sharded engine (MS-PBFS over the partition mirror)
 /// tracks mutations too: every epoch re-publishes the mirror, and dirty
 /// vertices are served from the overlay on both paths.
 #[test]
